@@ -137,7 +137,10 @@ decompose-smoke: build
 # --connect` (exit code must be 3 and the verdict stream byte-identical
 # to the svc golden — the wire adds nothing and loses nothing), then
 # SIGTERMs the server and asserts a clean drain: exit 0, a final
-# metrics snapshot on stderr, and the socket file unlinked.
+# metrics snapshot on stderr that counts all 50 jobs completed (the
+# server runs without --telemetry, so this also catches per-job
+# counter bumps left behind the registry's on/off guard), and the
+# socket file unlinked.
 net-smoke: build
 	@mkdir -p _build/net-smoke
 	@rm -f _build/net-smoke/sock
@@ -171,6 +174,9 @@ net-smoke: build
 	fi; \
 	grep -q '"final":true' _build/net-smoke/serve.err \
 	  || { echo "net-smoke: no final metrics snapshot on server stderr"; \
+	       exit 1; }; \
+	grep '"final":true' _build/net-smoke/serve.err | grep -q '"completed":50,' \
+	  || { echo "net-smoke: final metrics do not count 50 completed jobs"; \
 	       exit 1; }; \
 	if [ -e _build/net-smoke/sock ]; then \
 	  echo "net-smoke: socket file not unlinked on drain"; exit 1; \

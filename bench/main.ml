@@ -24,8 +24,7 @@
       search + certification + derivation) for a sweep of stabilization
       parameters k;
     - B5 [svc-throughput]: the lib/svc checking service — jobs/s of a
-      50-job batch vs worker-domain count, with and without
-      prepared-history reuse.
+      50-job batch vs worker-domain count.
 
     Every workload is deterministic (seeded); numbers are ns per
     whole-scenario run, with per-op normalization printed where the
@@ -101,13 +100,13 @@ let print_rows specs results =
 let json_mode = Array.exists (fun a -> a = "--json") Sys.argv
 
 (* NaN has no JSON spelling; a missing estimate becomes null. *)
-let jnum f = if Float.is_nan f then Elin_svc.Jsonl.Null else Elin_svc.Jsonl.Float f
+let jnum f = if Float.is_nan f then Elin_obs.Jsonl.Null else Elin_obs.Jsonl.Float f
 
 (* One line through the one encoder — the same writer the trace
    export, metrics snapshots, and svc verdicts use. *)
 let series_obj series rows =
-  Elin_svc.Jsonl.Obj
-    [ ("series", Elin_svc.Jsonl.Str series); ("results", Elin_svc.Jsonl.Arr rows) ]
+  Elin_obs.Jsonl.Obj
+    [ ("series", Elin_obs.Jsonl.Str series); ("results", Elin_obs.Jsonl.Arr rows) ]
 
 let write_series series rows =
   if json_mode then begin
@@ -117,7 +116,7 @@ let write_series series rows =
   end
 
 let rows_of_specs specs results =
-  let open Elin_svc.Jsonl in
+  let open Elin_obs.Jsonl in
   List.map
     (fun (name, ops, _) ->
       let est = est_of results name in
@@ -650,10 +649,8 @@ let e15 () =
 (* ------------------------------------------------------------------ *)
 
 (* Wall-clock of whole batches (not bechamel): the quantity of
-   interest is end-to-end jobs/s through the pool, channels and
-   batcher included.  10 histories x 5 checker kinds = 50 jobs; the 5
-   checks per history are exactly what prepared-history reuse is
-   for. *)
+   interest is end-to-end jobs/s through the pool and its channels.
+   10 histories x 5 checker kinds = 50 jobs. *)
 let b5 () =
   let open Elin_svc in
   let fai = Faicounter.spec () in
@@ -679,13 +676,13 @@ let b5 () =
              [ Job.Linearizable; Job.T_lin 2; Job.Min_t; Job.Weak; Job.Full ]))
   in
   let n = List.length jobs in
-  let throughput ~domains ~reuse =
+  let throughput ~domains =
     (* Best of 3: batches are deterministic, so the best run is the
        least-perturbed one. *)
     let best = ref infinity in
     for _ = 1 to 3 do
       let t0 = Elin_obs.Clock.now_s () in
-      let vs = Pool.run_batch ~reuse ~domains jobs in
+      let vs = Pool.run_batch ~domains jobs in
       let dt = Elin_obs.Clock.now_s () -. t0 in
       assert (List.length vs = n);
       assert (
@@ -695,23 +692,22 @@ let b5 () =
     float_of_int n /. !best
   in
   Printf.printf "\n== B5: checking-service throughput (%d jobs) ==\n" n;
-  Printf.printf "%-10s %18s %18s\n" "domains" "jobs/s (reuse)"
-    "jobs/s (no reuse)";
+  Printf.printf "%-10s %18s\n" "domains" "jobs/s";
   let rows =
     List.map
       (fun domains ->
-        let r = throughput ~domains ~reuse:true in
-        let nr = throughput ~domains ~reuse:false in
-        Printf.printf "%-10d %18.0f %18.0f\n" domains r nr;
+        let r = throughput ~domains in
+        Printf.printf "%-10d %18.0f\n" domains r;
         flush stdout;
-        let open Jsonl in
+        let open Elin_obs.Jsonl in
+        (* The key predates the removal of prepared-history reuse; it
+           stays so the committed baseline keeps gating this rate. *)
         Obj
           [
             ("name", Str (Printf.sprintf "svc/domains %d" domains));
             ("domains", Int domains);
             ("jobs", Int n);
             ("jobs_per_s_reuse", jnum r);
-            ("jobs_per_s_no_reuse", jnum nr);
           ])
       [ 1; 2; 4; 8 ]
   in
@@ -778,7 +774,7 @@ let b8 () =
           o.Load.target_per_s o.achieved_per_s o.p50_us o.p99_us o.p999_us
           o.max_us;
         flush stdout;
-        let open Elin_svc.Jsonl in
+        let open Elin_obs.Jsonl in
         Obj
           [
             ( "name",
@@ -831,7 +827,7 @@ let b6 () =
       stats.Search.states stats.Search.dedup_hits stats.Search.pruned
       stats.Search.kept stats.Search.leaves stats.Search.wall;
     flush stdout;
-    let open Elin_svc.Jsonl in
+    let open Elin_obs.Jsonl in
     Obj
       [
         ("name", Str name);
@@ -1036,7 +1032,7 @@ let b7 ?(smoke = false) () =
   let rows =
     List.map
       (fun (name, (s : Search.stats)) ->
-        let open Elin_svc.Jsonl in
+        let open Elin_obs.Jsonl in
         Obj
           [
             ("name", Str ("obs/" ^ name));
@@ -1149,7 +1145,7 @@ let b9 () =
         Printf.printf "%-34s %9d %9d %12.0f %9.3f\n" name s.Search.states
           s.Search.kept (rate s) s.Search.wall;
         flush stdout;
-        let open Elin_svc.Jsonl in
+        let open Elin_obs.Jsonl in
         Obj
           [
             ("name", Str name);
@@ -1306,7 +1302,7 @@ let b10 () =
           (store.disk_bytes / 1024)
           (rate s) s.Search.wall;
         flush stdout;
-        let open Elin_svc.Jsonl in
+        let open Elin_obs.Jsonl in
         Obj
           [
             ("name", Str name);
@@ -1410,7 +1406,7 @@ let b11 () =
       (match mono_mt with Some t -> string_of_int t | None -> "-")
       mono_st.Eventual.nodes dec_st.Eventual.nodes ratio mono_w dec_w;
     flush stdout;
-    let open Elin_svc.Jsonl in
+    let open Elin_obs.Jsonl in
     let row =
       Obj
         [
@@ -1552,7 +1548,7 @@ let b11 () =
           (Printf.sprintf "decomp/svc domains %d" domains)
           sp mo;
         flush stdout;
-        let open Elin_svc.Jsonl in
+        let open Elin_obs.Jsonl in
         Obj
           [
             ("name", Str (Printf.sprintf "decomp/svc domains %d" domains));
@@ -1642,7 +1638,7 @@ let b12 () =
         let w = wall_of ~enabled in
         Printf.printf "%-12s %12.4f %14.0f\n" name w (float_of_int n /. w);
         flush stdout;
-        let open Jsonl in
+        let open Elin_obs.Jsonl in
         Obj
           [
             ("name", Str ("recorder/" ^ name));
@@ -1693,7 +1689,7 @@ let measured_key k =
     [ "per_s"; "wall"; "_us"; "_ms"; "ns_per" ]
 
 let compare_rows ~fail ~tol ~series brows crows =
-  let open Elin_svc.Jsonl in
+  let open Elin_obs.Jsonl in
   let drift fmt = Printf.ksprintf fail fmt in
   let num = function
     | Float f -> Some f
@@ -1742,7 +1738,7 @@ let compare_rows ~fail ~tol ~series brows crows =
     current
 
 let baseline_rows ~path =
-  let open Elin_svc.Jsonl in
+  let open Elin_obs.Jsonl in
   match of_string (read_file path) with
   | j -> (
     match mem "results" j with Some (Arr r) -> Some r | _ -> Some [])
@@ -1760,7 +1756,7 @@ let baseline_rows ~path =
    past 4x on these sub-second runs before the counts ever move).
    [--regress-update] rewrites the baselines instead. *)
 let regress ~update () =
-  let open Elin_svc.Jsonl in
+  let open Elin_obs.Jsonl in
   let rows = b6 () in
   let svc_rows = b5 () in
   let b8_rows = b8 () in

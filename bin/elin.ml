@@ -631,7 +631,7 @@ let pp_mc_stats stats =
    fixed so equal runs print byte-identically. *)
 let json_of_stats stats =
   let open Elin_mc in
-  let open Elin_svc.Jsonl in
+  let open Obs.Jsonl in
   Obj
     [
       ("states", Int stats.Search.states);
@@ -669,7 +669,7 @@ type mc_params = {
 }
 
 let identity_of_params p =
-  let open Elin_svc.Jsonl in
+  let open Obs.Jsonl in
   to_string
     (Obj
        [
@@ -696,7 +696,7 @@ let identity_of_params p =
    fixed), or the engine's manifest identity check would refuse its
    own checkpoints. *)
 let params_of_identity s =
-  let open Elin_svc.Jsonl in
+  let open Obs.Jsonl in
   match of_string s with
   | exception Parse_error e ->
     Error (Printf.sprintf "manifest identity unreadable: %s" e)
@@ -747,7 +747,7 @@ let params_of_identity s =
    its shape, so committed bench baselines and [--regress] diffs are
    unaffected. *)
 let spill_json_fields msp ~resume =
-  let open Elin_svc.Jsonl in
+  let open Obs.Jsonl in
   match msp with
   | None -> []
   | Some (m : Elin_mc.Mc.spill) ->
@@ -923,7 +923,7 @@ let do_mc impl_name protocol_name stabilize_at procs per_proc depth engine_s
   in
   let emit_json fields =
     if json then
-      print_endline (Elin_svc.Jsonl.to_string (Elin_svc.Jsonl.Obj fields))
+      print_endline (Obs.Jsonl.to_string (Obs.Jsonl.Obj fields))
   in
   let run () =
     match impl_name with
@@ -963,7 +963,7 @@ let do_mc impl_name protocol_name stabilize_at procs per_proc depth engine_s
       (match r.Mc_valency.validity_violation with
       | Some _ -> human "VALIDITY VIOLATION\n"
       | None -> human "validity: holds on all schedules\n");
-      let open Elin_svc.Jsonl in
+      let open Obs.Jsonl in
       let jvec d =
         Arr (List.map (fun v -> Str (Value.to_string v)) (Array.to_list d))
       in
@@ -1029,7 +1029,7 @@ let do_mc impl_name protocol_name stabilize_at procs per_proc depth engine_s
       | Some h ->
         human "NOT linearizable; lexicographically minimal counterexample:\n%s"
           (History.to_string h));
-      let open Elin_svc.Jsonl in
+      let open Obs.Jsonl in
       emit_json
         ([
            ("mode", Str "impl");
@@ -1257,16 +1257,10 @@ let timeout_ms_arg =
            ~doc:"Default wall-clock timeout per job, in milliseconds \
                  (jobs may override).")
 
-let no_reuse_arg =
-  Arg.(value & flag
-       & info [ "no-reuse" ]
-           ~doc:"Disable prepared-history reuse across jobs sharing a \
-                 (spec, history) pair.")
-
 let svc_stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
-           ~doc:"Include per-job wall_ms in verdicts and print a pool \
+           ~doc:"Include per-job wall_ms in verdicts and print a service \
                  metrics line on stderr.  Off by default so output is \
                  byte-deterministic.")
 
@@ -1302,25 +1296,6 @@ let install_stop_signals () =
   in
   (stop_requested, restore)
 
-(* Fold the pool-level snapshot into the obs registry (counters by
-   dotted name) so the --metrics file is ONE vocabulary: engine/kernel
-   counters collected live during the run plus the svc totals. *)
-let mirror_svc_snapshot (s : Elin_svc.Metrics.snapshot) =
-  let c name v = Obs.Metrics.Counter.add (Obs.Metrics.counter name) v in
-  c "svc.submitted" s.Elin_svc.Metrics.submitted;
-  c "svc.completed" s.Elin_svc.Metrics.completed;
-  c "svc.pass" s.Elin_svc.Metrics.pass;
-  c "svc.violations" s.Elin_svc.Metrics.violations;
-  c "svc.budget_exhausted" s.Elin_svc.Metrics.budget_exhausted;
-  c "svc.timed_out" s.Elin_svc.Metrics.timed_out;
-  c "svc.cancelled" s.Elin_svc.Metrics.cancelled;
-  c "svc.busy" s.Elin_svc.Metrics.busy;
-  c "svc.bad_jobs" s.Elin_svc.Metrics.bad_jobs;
-  c "svc.failed" s.Elin_svc.Metrics.failed;
-  c "svc.nodes" s.Elin_svc.Metrics.nodes;
-  c "svc.prepare_hits" s.Elin_svc.Metrics.prepare_hits;
-  c "svc.prepare_misses" s.Elin_svc.Metrics.prepare_misses
-
 let metrics_out_arg =
   Arg.(
     value
@@ -1328,8 +1303,8 @@ let metrics_out_arg =
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
           "Write a metrics snapshot of the run to $(docv) as JSONL (one \
-           metric per line, sorted by name): pool totals plus live \
-           engine/kernel/svc counters and latency histograms.")
+           metric per line, sorted by name): the svc totals plus live \
+           engine/kernel counters and latency histograms.")
 
 (* Client mode of `elin batch`: parse lines locally (unparseable lines
    stay local bad_job verdicts, same as the pool driver), pipeline the
@@ -1355,8 +1330,8 @@ let batch_over_socket addr lines stats =
     verdicts;
   verdicts
 
-let do_batch domains job_budget timeout_ms no_reuse stats metrics_out connect
-    decompose trace flight input =
+let do_batch domains job_budget timeout_ms stats metrics_out connect decompose
+    trace flight input =
   if domains < 1 then
     `Error (false, Printf.sprintf "--domains must be >= 1, got %d" domains)
   else
@@ -1387,25 +1362,21 @@ let do_batch domains job_budget timeout_ms no_reuse stats metrics_out connect
           ok_exit Exit_code.Usage))
     | None ->
       if metrics_out <> None then Obs.Metrics.enable ();
-      let metrics = Elin_svc.Metrics.create () in
       let run =
         if decompose then Elin_svc.Split.run_lines else Elin_svc.Pool.run_lines
       in
       let verdicts =
         run ?queue_capacity:None ?default_budget:job_budget
-          ?default_timeout_ms:timeout_ms ?reuse:(Some (not no_reuse))
-          ?resolve:None ~metrics ~domains lines
+          ?default_timeout_ms:timeout_ms ?resolve:None ~domains lines
       in
       List.iter
         (fun v -> print_endline (Elin_svc.Verdict.to_line ~stats v))
         verdicts;
       if stats then
-        Format.eprintf "%a@." Elin_svc.Metrics.pp_snapshot
-          (Elin_svc.Metrics.snapshot metrics);
+        prerr_endline (Obs.Jsonl.to_string (Elin_svc.Pool.metrics_json ()));
       (match metrics_out with
       | None -> ()
       | Some path ->
-        mirror_svc_snapshot (Elin_svc.Metrics.snapshot metrics);
         let oc = open_out path in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
@@ -1420,8 +1391,8 @@ let connect_arg =
         ~doc:
           "Send the jobs to a running $(b,elin serve --listen) server at \
            $(docv) (unix:PATH or tcp:HOST:PORT) instead of checking \
-           locally.  Pool options (--domains, --job-budget, --timeout-ms, \
-           --no-reuse) are the server's business and are ignored here.")
+           locally.  Pool options (--domains, --job-budget, --timeout-ms) \
+           are the server's business and are ignored here.")
 
 let batch_cmd =
   let input =
@@ -1448,27 +1419,24 @@ let batch_cmd =
     Term.(
       ret
         (const do_batch $ domains_svc_arg $ job_budget_arg $ timeout_ms_arg
-       $ no_reuse_arg $ svc_stats_arg $ metrics_out_arg $ connect_arg
-       $ decompose $ trace_arg $ flight_arg $ input))
+       $ svc_stats_arg $ metrics_out_arg $ connect_arg $ decompose $ trace_arg
+       $ flight_arg $ input))
 
 (* The final metrics line both serve modes flush on shutdown. *)
-let print_final_metrics ?queue_depth metrics =
+let print_final_metrics () =
   Printf.eprintf "%s\n%!"
-    (Elin_svc.Jsonl.to_string
-       (Elin_svc.Jsonl.Obj
+    (Obs.Jsonl.to_string
+       (Obs.Jsonl.Obj
           [
-            ("final", Elin_svc.Jsonl.Bool true);
-            ( "metrics",
-              Elin_svc.Metrics.snapshot_to_json
-                (Elin_svc.Metrics.snapshot ?queue_depth metrics) );
+            ("final", Obs.Jsonl.Bool true);
+            ("metrics", Elin_svc.Pool.metrics_json ());
           ]))
 
-let serve_spool domains job_budget timeout_ms no_reuse stats dir once poll_ms =
+let serve_spool domains job_budget timeout_ms stats dir once poll_ms =
   if once then begin
     let n =
       Elin_svc.Spool.scan_once ?default_budget:job_budget
-        ?default_timeout_ms:timeout_ms ~reuse:(not no_reuse) ~stats ~domains
-        ~dir ()
+        ?default_timeout_ms:timeout_ms ~stats ~domains ~dir ()
     in
     Printf.printf "processed %d job file(s)\n" n;
     ok_exit Exit_code.Ok
@@ -1480,21 +1448,19 @@ let serve_spool domains job_budget timeout_ms no_reuse stats dir once poll_ms =
        of killing the process, so the metrics accumulated across every
        processed file are flushed, not dropped. *)
     let stop_requested, restore_signals = install_stop_signals () in
-    let metrics = Elin_svc.Metrics.create () in
     (try
        Elin_svc.Spool.watch ?default_budget:job_budget
-         ?default_timeout_ms:timeout_ms ~reuse:(not no_reuse) ~stats ~metrics
-         ~poll_ms
+         ?default_timeout_ms:timeout_ms ~stats ~poll_ms
          ~stop:(fun () -> Atomic.get stop_requested)
          ~domains ~dir ()
      with Unix.Unix_error (Unix.EINTR, _, _) -> ());
     restore_signals ();
-    print_final_metrics metrics;
+    print_final_metrics ();
     ok_exit Exit_code.Ok
   end
 
-let serve_socket domains job_budget timeout_ms no_reuse stats addr_s admission
-    queue test_specs telemetry_s =
+let serve_socket domains job_budget timeout_ms stats addr_s admission queue
+    test_specs telemetry_s =
   match Elin_net.Addr.of_string addr_s with
   | Error e -> `Error (false, e)
   | Ok addr -> (
@@ -1509,14 +1475,13 @@ let serve_socket domains job_budget timeout_ms no_reuse stats addr_s admission
     match telemetry_addr with
     | Error e -> `Error (false, Printf.sprintf "--telemetry: %s" e)
     | Ok telemetry_addr -> (
-      let metrics = Elin_svc.Metrics.create () in
       let resolve =
         if test_specs then Some Elin_net.Load.test_resolve else None
       in
       match
         Elin_net.Server.start ~domains ?default_budget:job_budget
-          ?default_timeout_ms:timeout_ms ~reuse:(not no_reuse) ~stats ~metrics
-          ~admission ~queue_capacity:queue ?resolve addr
+          ?default_timeout_ms:timeout_ms ~stats ~admission
+          ~queue_capacity:queue ?resolve addr
       with
       | exception Failure m -> `Error (false, m)
       | exception Unix.Unix_error (err, fn, _) ->
@@ -1591,11 +1556,11 @@ let serve_socket domains job_budget timeout_ms no_reuse stats addr_s admission
         Elin_net.Server.stop srv;
         Option.iter Elin_net.Telemetry.stop telemetry;
         restore_signals ();
-        print_final_metrics metrics;
+        print_final_metrics ();
         ok_exit Exit_code.Ok))
 
-let do_serve domains job_budget timeout_ms no_reuse stats dir once poll_ms
-    listen admission queue test_specs telemetry trace flight =
+let do_serve domains job_budget timeout_ms stats dir once poll_ms listen
+    admission queue test_specs telemetry trace flight =
   if domains < 1 then
     `Error (false, Printf.sprintf "--domains must be >= 1, got %d" domains)
   else
@@ -1605,8 +1570,8 @@ let do_serve domains job_budget timeout_ms no_reuse stats dir once poll_ms
     | Some addr_s, None ->
       with_flight flight @@ fun () ->
       with_trace ~proc:"serve" trace @@ fun () ->
-      serve_socket domains job_budget timeout_ms no_reuse stats addr_s
-        admission queue test_specs telemetry
+      serve_socket domains job_budget timeout_ms stats addr_s admission queue
+        test_specs telemetry
     | None, Some dir ->
       if telemetry <> None then
         `Error (true, "--telemetry requires --listen (socket mode)")
@@ -1615,8 +1580,7 @@ let do_serve domains job_budget timeout_ms no_reuse stats dir once poll_ms
       else
         with_flight flight @@ fun () ->
         with_trace ~proc:"serve" trace @@ fun () ->
-        serve_spool domains job_budget timeout_ms no_reuse stats dir once
-          poll_ms
+        serve_spool domains job_budget timeout_ms stats dir once poll_ms
 
 let serve_cmd =
   let dir =
@@ -1686,9 +1650,8 @@ let serve_cmd =
     Term.(
       ret
         (const do_serve $ domains_svc_arg $ job_budget_arg $ timeout_ms_arg
-       $ no_reuse_arg $ svc_stats_arg $ dir $ once $ poll_ms $ listen
-       $ admission $ queue $ test_specs $ telemetry $ trace_arg
-       $ flight_arg))
+       $ svc_stats_arg $ dir $ once $ poll_ms $ listen $ admission $ queue
+       $ test_specs $ telemetry $ trace_arg $ flight_arg))
 
 (* ------------------------------------------------------------------ *)
 (* elin load                                                          *)
@@ -1734,7 +1697,7 @@ let do_load connect rate jobs seed small large poison depth budget timeout_ms
         List.iter
           (fun o ->
             print_endline
-              (Elin_svc.Jsonl.to_string (Elin_net.Load.outcome_to_json o)))
+              (Obs.Jsonl.to_string (Elin_net.Load.outcome_to_json o)))
           outcomes;
         Printf.eprintf
           "%10s %8s %8s %10s %10s %10s %10s   outcomes\n%!" "target/s"

@@ -1,7 +1,7 @@
 (** Length-prefixed framing for the socket job/verdict protocol.
 
     A frame is a 4-byte big-endian unsigned payload length followed by
-    exactly that many payload bytes; the payload is one [Svc.Jsonl]
+    exactly that many payload bytes; the payload is one [Obs.Jsonl]
     job or verdict line (no trailing newline).  Framing is
     self-delimiting, so pipelined frames need no sentinel and payloads
     may contain anything, including newlines.

@@ -147,7 +147,6 @@ let run addr cfg =
   let index_of_id = Hashtbl.create n in
   Array.iteri (fun i j -> Hashtbl.replace index_of_id j.Job.id i) jobs;
   let hist = Obs.Metrics.Histogram.create () in
-  let max_us = ref 0 in
   let cl = Client.connect addr in
   Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
   let period_ns = 1e9 /. cfg.rate in
@@ -236,7 +235,6 @@ let run addr cfg =
             let lat_ns = Int64.sub (Obs.Clock.now_ns ()) (sched i) in
             let us = max 0 (Int64.to_int (Int64.div lat_ns 1000L)) in
             Obs.Metrics.Histogram.observe hist us;
-            if us > !max_us then max_us := us;
             (* Client-side job span: scheduled-send to verdict, the
                same interval the latency histogram samples. *)
             (if Obs.Trace.on () then
@@ -268,8 +266,8 @@ let run addr cfg =
   Thread.join sender;
   (match !failure with Some m -> failwith m | None -> ());
   if Atomic.get sender_dead then failwith "load sender failed mid-run";
-  let count, _sum, buckets = Obs.Metrics.Histogram.merged hist in
-  let q p = float_of_int (Obs.Metrics.quantile ~count ~buckets p) in
+  let h = Obs.Metrics.Histogram.merged hist in
+  let q p = float_of_int (Obs.Metrics.quantile h p) in
   {
     target_per_s = cfg.rate;
     jobs = n;
@@ -284,14 +282,14 @@ let run addr cfg =
     p50_us = q 0.5;
     p99_us = q 0.99;
     p999_us = q 0.999;
-    max_us = float_of_int !max_us;
+    max_us = float_of_int h.Obs.Metrics.max;
   }
 
 let sweep addr cfg ~rates =
   List.map (fun rate -> run addr { cfg with rate }) rates
 
 let outcome_to_json o =
-  let open Jsonl in
+  let open Obs.Jsonl in
   Obj
     [
       ("target_per_s", Float o.target_per_s);

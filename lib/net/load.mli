@@ -64,10 +64,10 @@ type outcome = {
   exhausted : int;  (** budget_exhausted + timed_out + cancelled *)
   wall_s : float;  (** first scheduled send → last verdict *)
   achieved_per_s : float;  (** answered / wall_s *)
-  p50_us : float;  (** log2-bucket upper-edge quantiles (µs) … *)
+  p50_us : float;  (** log2-bucket upper-edge quantiles (µs), clamped … *)
   p99_us : float;
   p999_us : float;
-  max_us : float;  (** … and the exact maximum *)
+  max_us : float;  (** … to the exact maximum *)
 }
 
 (** [run addr cfg] — one run against a listening server.
@@ -80,4 +80,4 @@ val sweep : Addr.t -> cfg -> rates:float list -> outcome list
 
 (** Canonical JSONL row (latencies as JSON floats — they are measured,
     not deterministic). *)
-val outcome_to_json : outcome -> Elin_svc.Jsonl.t
+val outcome_to_json : outcome -> Elin_obs.Jsonl.t

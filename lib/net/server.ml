@@ -43,7 +43,6 @@ type t = {
   stats : bool;
   max_frame : int;
   outbox_capacity : int;
-  metrics : Metrics.t option;
   conns : (int, conn) Hashtbl.t;
   conns_m : Mutex.t;  (* also guards [readers]/[writers]; never taken
                          while holding a [conn.m] *)
@@ -116,7 +115,7 @@ let send_line conn line =
          with Unix.Unix_error _ -> ())
 
 let send_verdict srv conn (v : Verdict.t) =
-  Option.iter (fun m -> Metrics.verdict_done m v) srv.metrics;
+  Pool.record v;
   Obs.Metrics.Counter.incr m_replies;
   send_line conn (Verdict.to_line ~stats:srv.stats v)
 
@@ -460,14 +459,14 @@ let bind_listen addr =
   fd
 
 let start ?(domains = 1) ?(queue_capacity = 64) ?default_budget
-    ?default_timeout_ms ?(reuse = true) ?resolve ?metrics
-    ?(admission = Block) ?(outbox_capacity = 1024)
-    ?(max_frame = Frame.default_max_frame) ?(stats = false) addr =
+    ?default_timeout_ms ?resolve ?(admission = Block)
+    ?(outbox_capacity = 1024) ?(max_frame = Frame.default_max_frame)
+    ?(stats = false) addr =
   Lazy.force ignore_sigpipe;
   let listen_fd = bind_listen addr in
   let pool =
-    Pool.create ~queue_capacity ?default_budget ?default_timeout_ms ~reuse
-      ?resolve ?metrics ~domains ()
+    Pool.create ~queue_capacity ?default_budget ?default_timeout_ms ?resolve
+      ~domains ()
   in
   let srv =
     {
@@ -479,7 +478,6 @@ let start ?(domains = 1) ?(queue_capacity = 64) ?default_budget
       stats;
       max_frame;
       outbox_capacity;
-      metrics;
       conns = Hashtbl.create 16;
       conns_m = Mutex.create ();
       readers = [];

@@ -32,19 +32,28 @@ module Gauge = struct
   let reset g = Atomic.set g.cell 0
 end
 
+type histogram = {
+  count : int;
+  sum : int;
+  max : int;
+  buckets : (int * int) list;
+}
+
 module Histogram = struct
   let n_buckets = 64
 
   type t = {
-    (* cells.(shard * n_buckets + bucket); sums.(shard) *)
+    (* cells.(shard * n_buckets + bucket); sums.(shard); maxes.(shard) *)
     cells : int Atomic.t array;
     sums : int Atomic.t array;
+    maxes : int Atomic.t array;
   }
 
   let create () =
     {
       cells = Array.init (n_shards * n_buckets) (fun _ -> Atomic.make 0);
       sums = Array.init n_shards (fun _ -> Atomic.make 0);
+      maxes = Array.init n_shards (fun _ -> Atomic.make 0);
     }
 
   let bucket_of v =
@@ -65,14 +74,24 @@ module Histogram = struct
     else if i >= n_buckets - 1 then max_int
     else (1 lsl i) - 1
 
+  (* Shards can collide (distinct domains, same id land 63), so the
+     max cell is raised by compare-and-swap; the common case is one
+     load and a failed comparison. *)
+  let rec raise_max cell v =
+    let cur = Atomic.get cell in
+    if v > cur && not (Atomic.compare_and_set cell cur v) then raise_max cell v
+
+  (* The max is raised first, so a concurrent [merged] never counts an
+     observation that exceeds the max it reports. *)
   let observe h v =
     let s = shard () in
+    raise_max h.maxes.(s) v;
     Atomic.incr h.cells.((s * n_buckets) + bucket_of v);
     ignore (Atomic.fetch_and_add h.sums.(s) v)
 
-  (* (bucket, count) for nonzero buckets, ascending; plus count/sum. *)
+  (* Nonzero (bucket, count) pairs, ascending; plus count/sum/max. *)
   let merged h =
-    let count = ref 0 and sum = ref 0 in
+    let count = ref 0 and sum = ref 0 and max = ref 0 in
     let buckets = ref [] in
     for b = n_buckets - 1 downto 0 do
       let c = ref 0 in
@@ -85,13 +104,15 @@ module Histogram = struct
       end
     done;
     for s = 0 to n_shards - 1 do
-      sum := !sum + Atomic.get h.sums.(s)
+      sum := !sum + Atomic.get h.sums.(s);
+      max := Int.max !max (Atomic.get h.maxes.(s))
     done;
-    (!count, !sum, !buckets)
+    { count = !count; sum = !sum; max = !max; buckets = !buckets }
 
   let reset h =
     Array.iter (fun a -> Atomic.set a 0) h.cells;
-    Array.iter (fun a -> Atomic.set a 0) h.sums
+    Array.iter (fun a -> Atomic.set a 0) h.sums;
+    Array.iter (fun a -> Atomic.set a 0) h.maxes
 end
 
 type metric =
@@ -149,14 +170,12 @@ let histogram name =
 type value =
   | Counter_v of int
   | Gauge_v of int
-  | Histogram_v of { count : int; sum : int; buckets : (int * int) list }
+  | Histogram_v of histogram
 
 let read = function
   | C c -> Counter_v (Counter.value c)
   | G g -> Gauge_v (Gauge.value g)
-  | H h ->
-    let count, sum, buckets = Histogram.merged h in
-    Histogram_v { count; sum; buckets }
+  | H h -> Histogram_v (Histogram.merged h)
 
 let snapshot () =
   Mutex.lock registry_mu;
@@ -178,7 +197,7 @@ let find name =
   in
   Option.map read m
 
-let quantile ~count ~buckets q =
+let quantile { count; max; buckets; _ } q =
   if count <= 0 then 0
   else begin
     let rank =
@@ -189,7 +208,8 @@ let quantile ~count ~buckets q =
       | [] -> 0
       | (b, c) :: rest ->
         let cum = cum + c in
-        if cum >= rank then Histogram.bucket_upper b else go cum rest
+        if cum >= rank then Int.min (Histogram.bucket_upper b) max
+        else go cum rest
     in
     go 0 buckets
   end
@@ -203,15 +223,15 @@ let to_jsonl () =
            Obj [ ("metric", Str name); ("type", Str "counter"); ("value", Int n) ]
          | Gauge_v n ->
            Obj [ ("metric", Str name); ("type", Str "gauge"); ("value", Int n) ]
-         | Histogram_v { count; sum; buckets } ->
+         | Histogram_v ({ count; sum; buckets; _ } as h) ->
            Obj
              [
                ("metric", Str name);
                ("type", Str "histogram");
                ("count", Int count);
                ("sum", Int sum);
-               ("p50", Int (quantile ~count ~buckets 0.5));
-               ("p99", Int (quantile ~count ~buckets 0.99));
+               ("p50", Int (quantile h 0.5));
+               ("p99", Int (quantile h 0.99));
                ( "buckets",
                  Arr (List.map (fun (b, c) -> Arr [ Int b; Int c ]) buckets) );
              ])

@@ -12,8 +12,9 @@
     {2 Cost contract}
 
     Registration ([counter]/[gauge]/[histogram]) takes a mutex and is
-    meant for module-initialization time.  Bumps are one atomic RMW
-    and never allocate.  Hot paths (per-state, per-access) must still
+    meant for module-initialization time.  Bumps never allocate: a
+    counter bump is one atomic RMW, a histogram observation two plus
+    a load of its shard's running maximum.  Hot paths (per-state, per-access) must still
     guard with [if Metrics.on () then ...] — one atomic load — so the
     disabled mode pays a single branch; cold paths (per-run, per-job)
     may bump unconditionally. *)
@@ -52,6 +53,17 @@ module Gauge : sig
   val value : t -> int
 end
 
+(** A histogram's merged state: [buckets] is the nonzero
+    [(bucket index, count)] list, ascending, and [max] the exact
+    largest observation (0 when empty or all observations are
+    non-positive). *)
+type histogram = {
+  count : int;
+  sum : int;
+  max : int;
+  buckets : (int * int) list;
+}
+
 module Histogram : sig
   type t
 
@@ -60,14 +72,13 @@ module Histogram : sig
       Same sharding and bucket algebra as registered ones. *)
   val create : unit -> t
 
-  (** [observe h v] — count [v] into its log2 bucket and add it to the
-      running sum.  Negative and zero values land in bucket 0. *)
+  (** [observe h v] — count [v] into its log2 bucket, add it to the
+      running sum, and raise the running maximum.  Negative and zero
+      values land in bucket 0. *)
   val observe : t -> int -> unit
 
-  (** [(count, sum, buckets)] merged across shards; [buckets] is the
-      nonzero [(bucket index, count)] list, ascending.  Feed to
-      {!quantile}. *)
-  val merged : t -> int * int * (int * int) list
+  (** Merged across shards.  Feed to {!quantile}. *)
+  val merged : t -> histogram
 
   (** Zero the histogram (standalone ones aren't reached by
       {!Metrics.reset}). *)
@@ -92,11 +103,7 @@ val histogram : string -> Histogram.t
 type value =
   | Counter_v of int
   | Gauge_v of int
-  | Histogram_v of {
-      count : int;
-      sum : int;
-      buckets : (int * int) list;  (** (bucket index, count), nonzero only *)
-    }
+  | Histogram_v of histogram
 
 (** All registered metrics, shards merged, sorted by name. *)
 val snapshot : unit -> (string * value) list
@@ -104,9 +111,10 @@ val snapshot : unit -> (string * value) list
 val find : string -> value option
 
 (** Nearest-rank quantile over merged histogram buckets, reported as
-    the bucket's upper edge (a [<=] bound, honest about log2
-    resolution).  [q] in [0..1]; 0 when [count = 0]. *)
-val quantile : count:int -> buckets:(int * int) list -> float -> int
+    the bucket's upper edge clamped to the exact maximum (a [<=]
+    bound, honest about log2 resolution, that never exceeds [max]).
+    [q] in [0..1]; 0 when [count = 0]. *)
+val quantile : histogram -> float -> int
 
 (** One JSONL object per metric, canonical key order
     ([metric], [type], then kind-specific fields), sorted by name.

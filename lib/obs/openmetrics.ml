@@ -30,7 +30,7 @@ let render_snapshot snap =
       | Metrics.Gauge_v g ->
           line "# TYPE %s gauge" n;
           line "%s %d" n g
-      | Metrics.Histogram_v { count; sum; buckets } ->
+      | Metrics.Histogram_v ({ count; sum; buckets; _ } as h) ->
           line "# TYPE %s histogram" n;
           (* Log2 buckets exposed cumulatively at their upper edges;
              the top bucket folds into the mandatory +Inf edge. *)
@@ -46,12 +46,13 @@ let render_snapshot snap =
           line "%s_bucket{le=\"+Inf\"} %d" n count;
           line "%s_count %d" n count;
           line "%s_sum %d" n sum;
-          (* Nearest-rank quantiles (upper-edge bounds, same contract
-             as Metrics.quantile) as companion gauges. *)
+          (* Nearest-rank quantiles (upper-edge bounds clamped to the
+             exact max, same contract as Metrics.quantile) as
+             companion gauges. *)
           line "# TYPE %s_p50 gauge" n;
-          line "%s_p50 %d" n (Metrics.quantile ~count ~buckets 0.5);
+          line "%s_p50 %d" n (Metrics.quantile h 0.5);
           line "# TYPE %s_p99 gauge" n;
-          line "%s_p99 %d" n (Metrics.quantile ~count ~buckets 0.99))
+          line "%s_p99 %d" n (Metrics.quantile h 0.99))
     snap;
   Buffer.add_string b "# EOF\n";
   Buffer.contents b

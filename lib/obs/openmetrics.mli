@@ -4,8 +4,8 @@
     ["svc.latency_us"] exposes as [elin_svc_latency_us].  Counters get
     the [_total] suffix, histograms expose cumulative [_bucket{le=..}]
     lines at the log2 bucket upper edges plus [_count]/[_sum] and
-    companion [_p50]/[_p99] gauges (nearest-rank, upper-edge bounds —
-    same honesty contract as {!Metrics.quantile}).  The body ends with
+    companion [_p50]/[_p99] gauges (nearest-rank, upper-edge bounds
+    clamped to the exact max — same contract as {!Metrics.quantile}).  The body ends with
     the mandatory [# EOF] terminator. *)
 
 (** Render a snapshot (pure — goldens feed a hand-built list). *)

@@ -4,24 +4,25 @@
 
 type t = int
 
+(* Built eagerly: a [lazy] table forced for the first time by two
+   domains at once raises [CamlinternalLazy.Undefined] in one of them
+   (the sharded engine's spill workers checksum segments in parallel). *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let start = 0xFFFFFFFF
 
 let update (c : t) b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Crc32.update";
-  let tbl = Lazy.force table in
   let c = ref c in
   for i = off to off + len - 1 do
-    c := tbl.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xff)
+    c := table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xff)
          lxor (!c lsr 8)
   done;
   !c

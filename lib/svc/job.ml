@@ -1,5 +1,7 @@
 (** Checking jobs and their JSONL codec. *)
 
+open Elin_obs
+
 type check = Linearizable | T_lin of int | Min_t | Weak | Full
 
 type t = {

@@ -51,14 +51,14 @@ val check_to_string : check -> string
 (** [check_of_string s ~t] — [t] is consulted only for ["t-lin"]. *)
 val check_of_string : string -> t:int option -> (check, string) result
 
-val to_json : t -> Jsonl.t
+val to_json : t -> Elin_obs.Jsonl.t
 
 (** [of_json ~seq j] — parse a wire object.  The history text is {e
     not} parsed here; malformed histories surface as [bad_job]
     verdicts when the job runs. *)
-val of_json : seq:int -> Jsonl.t -> (t, string) result
+val of_json : seq:int -> Elin_obs.Jsonl.t -> (t, string) result
 
-(** [of_line ~seq line] — {!Jsonl.of_string} + {!of_json}. *)
+(** [of_line ~seq line] — {!Elin_obs.Jsonl.of_string} + {!of_json}. *)
 val of_line : seq:int -> string -> (t, string) result
 
 val to_line : t -> string

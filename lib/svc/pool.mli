@@ -50,19 +50,18 @@ type t
       block when the service is saturated.
     - [default_budget] / [default_timeout_ms] apply to jobs that carry
       none of their own.
-    - [reuse] (default true) routes engine checks through a
-      {!Batcher}.
     - [resolve] maps job spec names to specs (default: the
       {!Elin_spec.Zoo} by name); exceptions it raises surface as
       [bad_job].
-    - [metrics] receives per-job accounting. *)
+
+    Every job is prepared afresh ([Engine.prepare] is linear in the
+    history, the check is not), so a long-lived pool holds nothing
+    per finished job. *)
 val create :
   ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
-  ?reuse:bool ->
   ?resolve:(string -> Spec.t) ->
-  ?metrics:Metrics.t ->
   domains:int ->
   unit ->
   t
@@ -106,9 +105,7 @@ val run_batch :
   ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
-  ?reuse:bool ->
   ?resolve:(string -> Spec.t) ->
-  ?metrics:Metrics.t ->
   domains:int ->
   Job.t list ->
   Verdict.t list
@@ -120,15 +117,36 @@ val parse_jobs :
   string list -> [ `Job of Job.t | `Bad of Verdict.t ] list
 
 (** [run_lines ~domains lines] — {!parse_jobs} + {!run_batch}, with
-    the bad-line verdicts merged back in submission order: the engine
-    behind [elin batch] and the spool. *)
+    the bad-line verdicts {!record}ed and merged back in submission
+    order: the engine behind [elin batch] and the spool. *)
 val run_lines :
   ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
-  ?reuse:bool ->
   ?resolve:(string -> Spec.t) ->
-  ?metrics:Metrics.t ->
   domains:int ->
   string list ->
   Verdict.t list
+
+(** {2 Service metrics}
+
+    The service counts into the process-wide {!Elin_obs.Metrics}
+    registry, once per verdict: [svc.completed], one counter per
+    status ([svc.pass], [svc.violations], [svc.budget_exhausted],
+    [svc.timed_out], [svc.cancelled], [svc.busy], [svc.bad_jobs],
+    [svc.failed]), [svc.nodes], and the [svc.latency_us] histogram of
+    [wall_ms].  [svc.submitted] counts jobs a pool admitted.  These
+    are per-job bumps, made whether or not the registry is on. *)
+
+(** [record v] — count one answered verdict.  The workers record
+    every verdict they produce; a front end records the verdicts it
+    answers itself (bad lines, busy and bad-frame replies). *)
+val record : Verdict.t -> unit
+
+(** The [svc.*] totals as one JSON object, in a fixed key order:
+    the counters, [queue_depth] (the [svc.queue] gauge), and
+    [p50_ms]/[p99_ms]/[max_ms] from [svc.latency_us] (quantiles are
+    bucket upper edges clamped to the exact max).  The line behind
+    [elin batch --stats], the spool's [--stats] lines and the serve
+    [{"final":true,...}] record. *)
+val metrics_json : unit -> Elin_obs.Jsonl.t

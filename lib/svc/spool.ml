@@ -40,18 +40,12 @@ let write_atomic path body =
     (fun () -> output_string oc body);
   Sys.rename tmp path
 
-let process_file ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
-    ?resolve ?(stats = false) ?metrics ~domains ~dir name =
-  (* A caller-supplied registry accumulates across files (the serve
-     shutdown snapshot needs totals, not the last file's); without one
-     each file gets its own, as before. *)
-  let metrics =
-    match metrics with Some m -> m | None -> Metrics.create ()
-  in
+let process_file ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
+    ?(stats = false) ~domains ~dir name =
   let lines = read_lines (Filename.concat dir (name ^ jobs_ext)) in
   let verdicts =
-    Pool.run_lines ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
-      ?resolve ~metrics ~domains lines
+    Pool.run_lines ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
+      ~domains lines
   in
   let body =
     String.concat "" (List.map (fun v -> Verdict.to_line ~stats v ^ "\n") verdicts)
@@ -59,33 +53,30 @@ let process_file ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
   write_atomic (Filename.concat dir (name ^ verdicts_ext)) body;
   if stats then
     Printf.eprintf "%s\n%!"
-      (Jsonl.to_string
-         (Jsonl.Obj
-            [
-              ("file", Jsonl.Str (name ^ jobs_ext));
-              ("metrics", Metrics.snapshot_to_json (Metrics.snapshot metrics));
-            ]));
+      Elin_obs.Jsonl.(
+        to_string
+          (Obj
+             [ ("file", Str (name ^ jobs_ext)); ("metrics", Pool.metrics_json ()) ]));
   verdicts
 
-let scan_once ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
-    ?resolve ?stats ?metrics ~domains ~dir () =
+let scan_once ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
+    ?stats ~domains ~dir () =
   List.fold_left
     (fun n name ->
       ignore
         (process_file ?queue_capacity ?default_budget ?default_timeout_ms
-           ?reuse ?resolve ?stats ?metrics ~domains ~dir name);
+           ?resolve ?stats ~domains ~dir name);
       n + 1)
     0 (pending ~dir)
 
-let watch ?queue_capacity ?default_budget ?default_timeout_ms ?reuse ?resolve
-    ?stats ?metrics ?(poll_ms = 200) ?(stop = fun () -> false) ~domains ~dir
-    () =
+let watch ?queue_capacity ?default_budget ?default_timeout_ms ?resolve ?stats
+    ?(poll_ms = 200) ?(stop = fun () -> false) ~domains ~dir () =
   let rec loop () =
     if stop () then ()
     else begin
       let n =
-        scan_once ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
-          ?resolve ?stats ?metrics ~domains ~dir ()
+        scan_once ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
+          ?stats ~domains ~dir ()
       in
       if n = 0 then Unix.sleepf (float_of_int poll_ms /. 1000.);
       loop ()

@@ -8,9 +8,10 @@
     never observes a partial file and a crash never leaves a
     half-written [.verdicts] masking a pending job file.
 
-    One metrics line (a JSON object, see
-    {!Metrics.snapshot_to_json}) is logged per processed file on
-    [stderr] when [stats] is set. *)
+    One metrics line (a JSON object, see {!Pool.metrics_json}) is
+    logged per processed file on [stderr] when [stats] is set.  Its
+    counts are the process's running totals, so across a {!watch}
+    they accumulate file by file. *)
 
 open Elin_spec
 
@@ -20,17 +21,13 @@ val pending : dir:string -> string list
 
 (** [process_file ~domains ~dir name] — run [dir/name.jobs] through
     the pool and atomically write [dir/name.verdicts].  Returns the
-    verdicts (submission order).  [metrics] substitutes a caller-owned
-    registry that accumulates across files (a shutdown snapshot wants
-    totals); omitted, each file counts alone. *)
+    verdicts (submission order). *)
 val process_file :
   ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
-  ?reuse:bool ->
   ?resolve:(string -> Spec.t) ->
   ?stats:bool ->
-  ?metrics:Metrics.t ->
   domains:int ->
   dir:string ->
   string ->
@@ -42,10 +39,8 @@ val scan_once :
   ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
-  ?reuse:bool ->
   ?resolve:(string -> Spec.t) ->
   ?stats:bool ->
-  ?metrics:Metrics.t ->
   domains:int ->
   dir:string ->
   unit ->
@@ -58,10 +53,8 @@ val watch :
   ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
-  ?reuse:bool ->
   ?resolve:(string -> Spec.t) ->
   ?stats:bool ->
-  ?metrics:Metrics.t ->
   ?poll_ms:int ->
   ?stop:(unit -> bool) ->
   domains:int ->

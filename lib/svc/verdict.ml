@@ -1,5 +1,7 @@
 (** Structured verdicts and their JSONL codec. *)
 
+open Elin_obs
+
 type status =
   | Pass
   | Violation

@@ -45,11 +45,11 @@ val status_to_string : status -> string
 
 (** [to_json ?stats v] — canonical single-line object; [stats]
     (default false) appends the nondeterministic ["wall_ms"] field. *)
-val to_json : ?stats:bool -> t -> Jsonl.t
+val to_json : ?stats:bool -> t -> Elin_obs.Jsonl.t
 
 val to_line : ?stats:bool -> t -> string
 
 (** Parses what {!to_json} emits (used by tests and spool readers). *)
-val of_json : seq:int -> Jsonl.t -> (t, string) result
+val of_json : seq:int -> Elin_obs.Jsonl.t -> (t, string) result
 
 val pp : Format.formatter -> t -> unit

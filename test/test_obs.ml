@@ -3,8 +3,8 @@
     schemas (JSONL key order, Chrome trace-event shape) under a
     deterministic clock, the zero-interference contract (mc verdicts,
     counterexamples and counts are bit-identical with tracing on or
-    off, across domain counts and POR modes), and the accumulated
-    spool metrics that back [elin serve]'s shutdown snapshot. *)
+    off, across domain counts and POR modes), and the [svc.*] spool
+    totals that back [elin serve]'s shutdown snapshot. *)
 
 open Elin_spec
 open Elin_runtime
@@ -72,7 +72,7 @@ let test_histogram_buckets () =
 let test_histogram_observe_quantile () =
   let h = Obs.Metrics.histogram "test.obs.lat" in
   (* 90 small values in bucket 1, 10 large in bucket 11: p50 reports
-     bucket 1's upper edge, p99 bucket 11's. *)
+     bucket 1's upper edge, p99 bucket 11's clamped to the max. *)
   for _ = 1 to 90 do
     Obs.Metrics.Histogram.observe h 1
   done;
@@ -80,19 +80,37 @@ let test_histogram_observe_quantile () =
     Obs.Metrics.Histogram.observe h 1024
   done;
   (match Obs.Metrics.find "test.obs.lat" with
-  | Some (Obs.Metrics.Histogram_v { count; sum; buckets }) ->
+  | Some (Obs.Metrics.Histogram_v ({ count; sum; max; buckets } as hv)) ->
     Alcotest.(check int) "count" 100 count;
     Alcotest.(check int) "sum" (90 + (10 * 1024)) sum;
+    Alcotest.(check int) "exact max" 1024 max;
     Alcotest.(check (list (pair int int))) "nonzero buckets"
       [ (1, 90); (11, 10) ]
       buckets;
-    Alcotest.(check int) "p50 = bucket 1 upper" 1
-      (Obs.Metrics.quantile ~count ~buckets 0.5);
-    Alcotest.(check int) "p99 = bucket 11 upper" 2047
-      (Obs.Metrics.quantile ~count ~buckets 0.99)
+    Alcotest.(check int) "p50 = bucket 1 upper" 1 (Obs.Metrics.quantile hv 0.5);
+    Alcotest.(check int) "p99 = bucket 11 upper, clamped to the max" 1024
+      (Obs.Metrics.quantile hv 0.99)
   | _ -> Alcotest.fail "histogram not found in registry");
   Alcotest.(check int) "empty quantile is 0" 0
-    (Obs.Metrics.quantile ~count:0 ~buckets:[] 0.5)
+    (Obs.Metrics.quantile { count = 0; sum = 0; max = 0; buckets = [] } 0.5)
+
+(* A bucket's upper edge can overshoot every observation in it; the
+   exact max caps the answer, so no quantile exceeds the max. *)
+let test_quantile_clamped_to_max () =
+  let h = Obs.Metrics.Histogram.create () in
+  for _ = 1 to 49 do
+    Obs.Metrics.Histogram.observe h 60
+  done;
+  Obs.Metrics.Histogram.observe h 6160;
+  let hv = Obs.Metrics.Histogram.merged h in
+  Alcotest.(check int) "exact max" 6160 hv.max;
+  Alcotest.(check int) "p50 = bucket of 60, upper edge" 63
+    (Obs.Metrics.quantile hv 0.5);
+  Alcotest.(check int) "p99 clamped to the max (bucket edge is 8191)" 6160
+    (Obs.Metrics.quantile hv 0.99);
+  Obs.Metrics.Histogram.reset h;
+  Alcotest.(check int) "reset zeroes the max" 0
+    (Obs.Metrics.Histogram.merged h).max
 
 (* ------------------------------------------------------------------ *)
 (* Metrics: sharded counters under domain hammering                   *)
@@ -151,12 +169,12 @@ let test_metrics_jsonl_schema () =
   let h = Obs.Metrics.histogram "test.obs.schema.h" in
   Obs.Metrics.Counter.add c 3;
   Obs.Metrics.Histogram.observe h 5;
-  let lines = List.map Jsonl.to_string (Obs.Metrics.to_jsonl ()) in
+  let lines = List.map Obs.Jsonl.to_string (Obs.Metrics.to_jsonl ()) in
   let find_line name =
     match
       List.find_opt
         (fun l ->
-          match Jsonl.str_mem "metric" (Jsonl.of_string l) with
+          match Obs.Jsonl.str_mem "metric" (Obs.Jsonl.of_string l) with
           | Some n -> n = name
           | None -> false)
         lines
@@ -169,7 +187,7 @@ let test_metrics_jsonl_schema () =
     {|{"metric":"test.obs.schema.c","type":"counter","value":3}|}
     (find_line "test.obs.schema.c");
   Alcotest.(check string) "histogram line"
-    {|{"metric":"test.obs.schema.h","type":"histogram","count":1,"sum":5,"p50":7,"p99":7,"buckets":[[3,1]]}|}
+    {|{"metric":"test.obs.schema.h","type":"histogram","count":1,"sum":5,"p50":5,"p99":5,"buckets":[[3,1]]}|}
     (find_line "test.obs.schema.h")
 
 (* ------------------------------------------------------------------ *)
@@ -193,13 +211,13 @@ let record_golden_events () =
   with_obs ~trace:true @@ fun () ->
   with_fake_clock @@ fun () ->
   Obs.Trace.instant ~cat:"t" "a";
-  Obs.Trace.with_span ~cat:"t" ~args:[ ("k", Jsonl.Int 7) ] "b" (fun () ->
+  Obs.Trace.with_span ~cat:"t" ~args:[ ("k", Obs.Jsonl.Int 7) ] "b" (fun () ->
       Obs.Trace.instant ~cat:"t" "c");
   Obs.Trace.events ()
 
 let test_trace_jsonl_golden () =
   let evs = record_golden_events () in
-  let lines = List.map Jsonl.to_string (Obs.Trace.to_jsonl evs) in
+  let lines = List.map Obs.Jsonl.to_string (Obs.Trace.to_jsonl evs) in
   (* ts rebased to the first event; key order ts, dur, ph, name, cat,
      tid, args; dur only on spans, args only when nonempty. *)
   Alcotest.(check (list string)) "canonical JSONL"
@@ -214,33 +232,33 @@ let test_trace_chrome_golden () =
   let evs = record_golden_events () in
   let chrome = Obs.Trace.to_chrome evs in
   let tevs =
-    match Jsonl.mem "traceEvents" chrome with
-    | Some (Jsonl.Arr l) -> l
+    match Obs.Jsonl.mem "traceEvents" chrome with
+    | Some (Obs.Jsonl.Arr l) -> l
     | _ -> Alcotest.fail "missing traceEvents array"
   in
   Alcotest.(check int) "three events" 3 (List.length tevs);
   List.iter
     (fun ev ->
-      Alcotest.(check (option int)) "pid 1" (Some 1) (Jsonl.int_mem "pid" ev);
-      Alcotest.(check bool) "has name" true (Jsonl.str_mem "name" ev <> None))
+      Alcotest.(check (option int)) "pid 1" (Some 1) (Obs.Jsonl.int_mem "pid" ev);
+      Alcotest.(check bool) "has name" true (Obs.Jsonl.str_mem "name" ev <> None))
     tevs;
   let span =
     match
-      List.find_opt (fun ev -> Jsonl.str_mem "ph" ev = Some "X") tevs
+      List.find_opt (fun ev -> Obs.Jsonl.str_mem "ph" ev = Some "X") tevs
     with
     | Some s -> s
     | None -> Alcotest.fail "no span event"
   in
   (* Chrome timestamps are microsecond floats: 1000 ns rebase = 1 us. *)
   Alcotest.(check (option (float 1e-9))) "span ts us" (Some 1.0)
-    (Jsonl.float_mem "ts" span);
+    (Obs.Jsonl.float_mem "ts" span);
   Alcotest.(check (option (float 1e-9))) "span dur us" (Some 2.0)
-    (Jsonl.float_mem "dur" span);
+    (Obs.Jsonl.float_mem "dur" span);
   List.iter
     (fun ev ->
-      if Jsonl.str_mem "ph" ev = Some "i" then
+      if Obs.Jsonl.str_mem "ph" ev = Some "i" then
         Alcotest.(check (option string)) "instant scope t" (Some "t")
-          (Jsonl.str_mem "s" ev))
+          (Obs.Jsonl.str_mem "s" ev))
     tevs
 
 let test_trace_disabled_is_silent () =
@@ -322,9 +340,9 @@ let mk_job id =
   }
 
 (* [elin serve --watch] flushes one final snapshot on SIGINT; what
-   makes that snapshot meaningful is a single caller-owned registry
-   accumulating across every processed file.  Regression: two files
-   through [watch] with a shared [metrics] must count both. *)
+   makes that snapshot meaningful is the registry accumulating across
+   every processed file.  Regression: two files through [watch] must
+   count both. *)
 let test_spool_metrics_accumulate () =
   let dir = "obs_spool_test" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -335,28 +353,21 @@ let test_spool_metrics_accumulate () =
       output_string oc (Job.to_line (mk_job (name ^ "-1")) ^ "\n");
       close_out oc)
     [ "a"; "b" ];
-  let metrics = Metrics.create () in
+  Obs.Metrics.reset ();
   (* Watch until the spool settles: [stop] is checked once per scan. *)
-  Spool.watch ~domains:1 ~dir ~metrics ~poll_ms:1
+  Spool.watch ~domains:1 ~dir ~poll_ms:1
     ~stop:(fun () -> Spool.pending ~dir = [])
     ();
-  let s = Metrics.snapshot metrics in
+  let count name =
+    match Obs.Metrics.find name with
+    | Some (Obs.Metrics.Counter_v n) -> n
+    | _ -> Alcotest.failf "no counter %s" name
+  in
   Alcotest.(check int) "submitted accumulates across files" 2
-    s.Metrics.submitted;
+    (count "svc.submitted");
   Alcotest.(check int) "completed accumulates across files" 2
-    s.Metrics.completed;
-  Alcotest.(check int) "both passed" 2 s.Metrics.pass;
-  (* And without a shared registry each file still counts alone: a
-     fresh scan over a re-pending spool starts from zero. *)
-  Array.iter
-    (fun f ->
-      if Filename.check_suffix f ".verdicts" then
-        Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir);
-  let fresh = Metrics.create () in
-  ignore (Spool.process_file ~domains:1 ~dir ~metrics:fresh "a");
-  Alcotest.(check int) "fresh registry counts one file" 1
-    (Metrics.snapshot fresh).Metrics.submitted
+    (count "svc.completed");
+  Alcotest.(check int) "both passed" 2 (count "svc.pass")
 
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics exposition                                             *)
@@ -369,7 +380,8 @@ let contains s sub =
 
 (* render_snapshot is pure, so the golden feeds a hand-built snapshot:
    one counter, one gauge, one histogram with mass in buckets 1 and 11
-   (upper edges 1 and 2047). *)
+   (upper edges 1 and 2047) whose max sits at bucket 11's edge, so the
+   quantile clamp leaves p99 at 2047. *)
 let test_openmetrics_golden () =
   let body =
     Obs.Openmetrics.render_snapshot
@@ -377,7 +389,7 @@ let test_openmetrics_golden () =
         ("net.jobs", Obs.Metrics.Counter_v 3);
         ("svc.latency_us",
          Obs.Metrics.Histogram_v
-           { count = 100; sum = 10330; buckets = [ (1, 90); (11, 10) ] });
+           { count = 100; sum = 10330; max = 2047; buckets = [ (1, 90); (11, 10) ] });
         ("svc.queue_depth", Obs.Metrics.Gauge_v 2);
       ]
   in
@@ -452,7 +464,7 @@ let test_trace_meta_golden () =
   let evs = record_golden_events () in
   Alcotest.(check string) "meta header golden"
     {|{"meta":"elin.trace","t0":1000,"proc":"elin"}|}
-    (Jsonl.to_string (Obs.Trace.meta_json evs))
+    (Obs.Jsonl.to_string (Obs.Trace.meta_json evs))
 
 let test_trace_tools_load_merge_report_flame () =
   let tmp suffix = Filename.temp_file "elin-tt" suffix in
@@ -472,18 +484,18 @@ let test_trace_tools_load_merge_report_flame () =
        with_obs ~trace:true @@ fun () ->
        Obs.Trace.set_proc "client";
        Obs.Trace.with_span ~cat:"net"
-         ~args:[ ("id", Jsonl.Str "j1"); ("trace", Jsonl.Str "j1") ]
+         ~args:[ ("id", Obs.Jsonl.Str "j1"); ("trace", Obs.Jsonl.Str "j1") ]
          "client.job"
          (fun () -> ());
        Obs.Trace.write_file client_f;
        Obs.Trace.clear ();
        Obs.Trace.set_proc "serve";
        Obs.Trace.with_span ~cat:"net"
-         ~args:[ ("id", Jsonl.Str "j1"); ("trace", Jsonl.Str "j1") ]
+         ~args:[ ("id", Obs.Jsonl.Str "j1"); ("trace", Obs.Jsonl.Str "j1") ]
          "net.job"
          (fun () ->
            Obs.Trace.with_span ~cat:"svc"
-             ~args:[ ("id", Jsonl.Str "j1"); ("trace", Jsonl.Str "j1") ]
+             ~args:[ ("id", Obs.Jsonl.Str "j1"); ("trace", Obs.Jsonl.Str "j1") ]
              "svc.job"
              (fun () -> ()));
        Obs.Trace.write_file server_f);
@@ -509,13 +521,13 @@ let test_trace_tools_load_merge_report_flame () =
       | Error e -> Alcotest.failf "merge: %s" e
       | Ok chrome ->
         let tevs =
-          match Jsonl.mem "traceEvents" chrome with
-          | Some (Jsonl.Arr l) -> l
+          match Obs.Jsonl.mem "traceEvents" chrome with
+          | Some (Obs.Jsonl.Arr l) -> l
           | _ -> Alcotest.fail "merged output missing traceEvents"
         in
         let pids =
           List.sort_uniq compare
-            (List.filter_map (fun e -> Jsonl.int_mem "pid" e) tevs)
+            (List.filter_map (fun e -> Obs.Jsonl.int_mem "pid" e) tevs)
         in
         Alcotest.(check (list int)) "one pid per process (+ metadata)"
           [ 1; 2 ] pids);
@@ -621,6 +633,8 @@ let () =
           Support.quick "histogram bucket edges" test_histogram_buckets;
           Support.quick "histogram observe and quantiles"
             test_histogram_observe_quantile;
+          Support.quick "quantiles clamp to the exact max"
+            test_quantile_clamped_to_max;
           Support.quick "4-domain counter shard hammer"
             test_counter_shard_hammer;
           Support.quick "registry find-or-create, reset, kind mismatch"

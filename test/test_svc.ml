@@ -19,7 +19,7 @@ let contains s sub =
 (* ------------------------------------------------------------------ *)
 
 let test_jsonl_print () =
-  let open Jsonl in
+  let open Elin_obs.Jsonl in
   Alcotest.(check string) "object"
     {|{"a":1,"b":[true,null,"x"],"c":{"d":-2}}|}
     (to_string
@@ -36,7 +36,7 @@ let test_jsonl_print () =
   Alcotest.(check string) "float" "1.5" (to_string (Float 1.5))
 
 let test_jsonl_parse () =
-  let open Jsonl in
+  let open Elin_obs.Jsonl in
   Alcotest.(check bool) "nested" true
     (of_string {| {"a": [1, 2.5, "s", true, false, null], "b":{}} |}
     = Obj
@@ -59,7 +59,7 @@ let test_jsonl_parse () =
     [ "{"; "[1,]"; "tru"; "1 x"; {|{"a" 1}|}; {|"unterminated|}; "" ]
 
 let test_jsonl_roundtrip () =
-  let open Jsonl in
+  let open Elin_obs.Jsonl in
   let v =
     Obj
       [
@@ -133,7 +133,7 @@ let test_verdict_line () =
     {|{"id":"j1","check":"min-t","status":"pass","min_t":2,"nodes":17,"memo_hits":3}|}
     (Verdict.to_line v);
   Alcotest.(check bool) "stats adds wall_ms" true
-    (Jsonl.float_mem "wall_ms" (Verdict.to_json ~stats:true v) = Some 1.25);
+    (Elin_obs.Jsonl.float_mem "wall_ms" (Verdict.to_json ~stats:true v) = Some 1.25);
   match Verdict.of_json ~seq:4 (Verdict.to_json ~stats:true v) with
   | Ok v' -> Alcotest.(check bool) "verdict round-trip" true (v = v')
   | Error e -> Alcotest.failf "verdict round-trip failed: %s" e
@@ -417,48 +417,15 @@ let test_cancellation () =
             other))
 
 (* ------------------------------------------------------------------ *)
-(* Batcher and metrics                                                *)
+(* Service metrics: one registry                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_batcher_reuse_counts () =
-  (* 2 distinct histories x 3 engine checks each: exactly 2 prepares,
-     4 hits.  (Weak/Full don't route through the batcher.) *)
-  let rng = Elin_kernel.Prng.create 77 in
-  let texts =
-    List.init 2 (fun _ ->
-        Textio.to_string (Gen.linearizable rng ~spec:fai ~procs:2 ~n_ops:6 ()))
-  in
-  let jobs =
-    List.concat
-      (List.mapi
-         (fun i text ->
-           List.mapi
-             (fun j check ->
-               {
-                 Job.id = Printf.sprintf "r%d-%d" i j;
-                 seq = (i * 3) + j;
-                 spec = "fetch&increment";
-                 check;
-                 node_budget = None;
-                 timeout_ms = None;
-                 history_text = text;
-                 trace = None;
-                 parent = None;
-               })
-             [ Job.Linearizable; Job.T_lin 1; Job.Min_t ])
-         texts)
-  in
-  let metrics = Metrics.create () in
-  let vs = Pool.run_batch ~metrics ~domains:1 jobs in
-  Alcotest.(check int) "all pass" 6
-    (List.length
-       (List.filter (fun v -> v.Verdict.status = Verdict.Pass) vs));
-  let s = Metrics.snapshot metrics in
-  Alcotest.(check int) "prepare misses = distinct keys" 2
-    s.Metrics.prepare_misses;
-  Alcotest.(check int) "prepare hits = the rest" 4 s.Metrics.prepare_hits;
-  Alcotest.(check int) "submitted" 6 s.Metrics.submitted;
-  Alcotest.(check int) "completed" 6 s.Metrics.completed
+module Metrics = Elin_obs.Metrics
+
+let svc_counter name =
+  match Metrics.find ("svc." ^ name) with
+  | Some (Metrics.Counter_v n) -> n
+  | _ -> Alcotest.failf "no counter svc.%s" name
 
 let test_metrics_statuses () =
   let jobs =
@@ -469,13 +436,56 @@ let test_metrics_statuses () =
         with Job.history_text = unsat_reg_text };
     ]
   in
-  let metrics = Metrics.create () in
-  ignore (Pool.run_batch ~resolve ~metrics ~domains:1 jobs);
-  let s = Metrics.snapshot metrics in
-  Alcotest.(check int) "pass" 1 s.Metrics.pass;
-  Alcotest.(check int) "bad_jobs" 1 s.Metrics.bad_jobs;
-  Alcotest.(check int) "budget_exhausted" 1 s.Metrics.budget_exhausted;
-  Alcotest.(check bool) "p50 <= p99" true (s.Metrics.p50_ms <= s.Metrics.p99_ms)
+  Metrics.reset ();
+  ignore (Pool.run_batch ~resolve ~domains:1 jobs);
+  Alcotest.(check int) "submitted" 3 (svc_counter "submitted");
+  Alcotest.(check int) "completed" 3 (svc_counter "completed");
+  Alcotest.(check int) "pass" 1 (svc_counter "pass");
+  Alcotest.(check int) "bad_jobs" 1 (svc_counter "bad_jobs");
+  Alcotest.(check int) "budget_exhausted" 1 (svc_counter "budget_exhausted");
+  match Metrics.find "svc.latency_us" with
+  | Some (Metrics.Histogram_v h) ->
+    Alcotest.(check int) "one latency per verdict" 3 h.count;
+    let p50 = Metrics.quantile h 0.5 and p99 = Metrics.quantile h 0.99 in
+    Alcotest.(check bool) "p50 <= p99 <= max" true (p50 <= p99 && p99 <= h.max)
+  | _ -> Alcotest.fail "no svc.latency_us histogram"
+
+(* The final serve line, the [--metrics] JSONL and the OpenMetrics
+   exposition all render from the one registry, so after a run that
+   includes an unparseable line they agree on every count. *)
+let test_metrics_one_source () =
+  let line j = Job.to_line j in
+  let lines =
+    [
+      line (job ~id:"ok" ~seq:0 ~spec:"fetch&increment" Job.Linearizable);
+      "{oops";
+      line
+        { (job ~id:"refuted" ~seq:0 ~spec:"unsat-reg" Job.Linearizable)
+          with Job.history_text = unsat_reg_text };
+    ]
+  in
+  Metrics.reset ();
+  ignore (Pool.run_lines ~resolve ~domains:1 lines);
+  let final = Pool.metrics_json () in
+  let jsonl =
+    List.filter_map
+      (fun m ->
+        match (Elin_obs.Jsonl.str_mem "metric" m, Elin_obs.Jsonl.int_mem "value" m) with
+        | Some name, Some v -> Some (name, v)
+        | _ -> None)
+      (Metrics.to_jsonl ())
+  in
+  let exposition = Elin_obs.Openmetrics.render () in
+  List.iter
+    (fun (key, expected) ->
+      Alcotest.(check (option int)) ("final line " ^ key) (Some expected)
+        (Elin_obs.Jsonl.int_mem key final);
+      Alcotest.(check (option int)) ("--metrics svc." ^ key) (Some expected)
+        (List.assoc_opt ("svc." ^ key) jsonl);
+      Alcotest.(check bool) ("/metrics svc." ^ key) true
+        (contains exposition
+           (Printf.sprintf "\nelin_svc_%s_total %d\n" key expected)))
+    [ ("completed", 3); ("pass", 1); ("violations", 1); ("bad_jobs", 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* run_lines and the spool                                            *)
@@ -634,11 +644,12 @@ let () =
           Support.quick "timeout mid-run" test_timeout_mid_run;
           Support.quick "cooperative cancellation" test_cancellation;
         ] );
-      ( "batcher-metrics",
+      ( "service-metrics",
         [
-          Support.quick "prepare hit/miss accounting" test_batcher_reuse_counts;
           Support.quick "status counters and percentiles"
             test_metrics_statuses;
+          Support.quick "final line, JSONL and OpenMetrics agree"
+            test_metrics_one_source;
         ] );
       ( "trace-flight",
         [
