@@ -133,11 +133,12 @@ decompose-smoke: build
 	@echo "decompose-smoke OK"
 
 # End-to-end socket path: starts `elin serve --listen` on a unix
-# socket, round-trips the committed 50-job corpus through `elin batch
-# --connect` (exit code must be 3 and the verdict stream byte-identical
-# to the svc golden — the wire adds nothing and loses nothing), then
+# socket, round-trips the committed 50-job corpus through two `elin
+# batch --connect` clients at once (each exit code must be 3 and each
+# verdict stream byte-identical to the svc golden — the wire adds
+# nothing, loses nothing, and keeps concurrent sessions apart), then
 # SIGTERMs the server and asserts a clean drain: exit 0, a final
-# metrics snapshot on stderr that counts all 50 jobs completed (the
+# metrics snapshot on stderr that counts all 100 jobs completed (the
 # server runs without --telemetry, so this also catches per-job
 # counter bumps left behind the registry's on/off guard), and the
 # socket file unlinked.
@@ -155,16 +156,22 @@ net-smoke: build
 	  kill $$srv 2>/dev/null; exit 1; \
 	fi; \
 	./_build/default/bin/elin.exe batch --connect unix:_build/net-smoke/sock \
-	  test/support/corpus_50.jobs > _build/net-smoke/corpus_50.verdicts; \
-	status=$$?; \
-	if [ $$status -ne 3 ]; then \
-	  echo "net-smoke: batch --connect expected exit code 3, got $$status"; \
-	  kill $$srv 2>/dev/null; exit 1; \
-	fi; \
-	diff -u test/support/corpus_50.verdicts.golden \
-	  _build/net-smoke/corpus_50.verdicts \
-	  || { echo "net-smoke: verdicts differ from the golden file"; \
-	       kill $$srv 2>/dev/null; exit 1; }; \
+	  test/support/corpus_50.jobs > _build/net-smoke/a.verdicts & \
+	cla=$$!; \
+	./_build/default/bin/elin.exe batch --connect unix:_build/net-smoke/sock \
+	  test/support/corpus_50.jobs > _build/net-smoke/b.verdicts & \
+	clb=$$!; \
+	wait $$cla; sta=$$?; wait $$clb; stb=$$?; \
+	for c in a:$$sta b:$$stb; do \
+	  if [ $${c#*:} -ne 3 ]; then \
+	    echo "net-smoke: batch --connect $${c%:*} expected exit code 3, got $${c#*:}"; \
+	    kill $$srv 2>/dev/null; exit 1; \
+	  fi; \
+	  diff -u test/support/corpus_50.verdicts.golden \
+	    _build/net-smoke/$${c%:*}.verdicts \
+	    || { echo "net-smoke: client $${c%:*} verdicts differ from the golden file"; \
+	         kill $$srv 2>/dev/null; exit 1; }; \
+	done; \
 	kill -TERM $$srv; \
 	wait $$srv; \
 	status=$$?; \
@@ -175,8 +182,9 @@ net-smoke: build
 	grep -q '"final":true' _build/net-smoke/serve.err \
 	  || { echo "net-smoke: no final metrics snapshot on server stderr"; \
 	       exit 1; }; \
-	grep '"final":true' _build/net-smoke/serve.err | grep -q '"completed":50,' \
-	  || { echo "net-smoke: final metrics do not count 50 completed jobs"; \
+	grep '"final":true' _build/net-smoke/serve.err | tail -n 1 \
+	  | grep -q '"completed":100,' \
+	  || { echo "net-smoke: final metrics do not count 100 completed jobs"; \
 	       exit 1; }; \
 	if [ -e _build/net-smoke/sock ]; then \
 	  echo "net-smoke: socket file not unlinked on drain"; exit 1; \
@@ -216,8 +224,8 @@ trace-smoke: build
 # is no curl in the CI image): `elin serve --telemetry` on an
 # ephemeral port must announce the bound port, serve /metrics as
 # parseable OpenMetrics and /healthz as 200 "serving"; then a
-# deliberately slow job (committed one-job corpus: a depth-10
-# unsatisfiable register history under a 5 s timeout) is parked on the
+# deliberately slow job (committed one-job corpus: a depth-16
+# unsatisfiable register history under a 3 s timeout) is parked on the
 # only worker and the server SIGTERMed mid-job — during the drain
 # /healthz must flip to 503 "draining", and the drain must still end
 # in exit 0 with the slow job answered.

@@ -1546,7 +1546,7 @@ let serve_socket domains job_budget timeout_ms stats addr_s admission queue
               Some t)
         in
         (* SIGINT/SIGTERM drain gracefully: stop accepting, answer
-           every admitted job, flush outboxes, then the final metrics
+           every admitted job, flush its reply, then the final metrics
            line. *)
         let stop_requested, restore_signals = install_stop_signals () in
         while not (Atomic.get stop_requested) do

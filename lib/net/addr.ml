@@ -50,3 +50,33 @@ let sockaddr = function
           with _ -> failwith (Printf.sprintf "cannot resolve host %S" host))
       in
       (Unix.PF_INET, Unix.ADDR_INET (ip, port))
+
+let listen addr =
+  let domain, sa = sockaddr addr in
+  (match addr with
+  | Unix_sock path when Sys.file_exists path ->
+      (* A stale path (no listener behind it) is reclaimable; a live
+         server is a configuration error, not something to unlink. *)
+      let probe = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let live =
+        try
+          Unix.connect probe sa;
+          true
+        with Unix.Unix_error _ -> false
+      in
+      (try Unix.close probe with Unix.Unix_error _ -> ());
+      if live then
+        failwith (Printf.sprintf "address %s already in use" (to_string addr))
+      else Unix.unlink path
+  | _ -> ());
+  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+  (match addr with
+  | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+  | Unix_sock _ -> ());
+  (try
+     Unix.bind fd sa;
+     Unix.listen fd 64
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  fd

@@ -19,3 +19,11 @@ val to_string : t -> string
     via [gethostbyname].
     @raise Failure if the host does not resolve. *)
 val sockaddr : t -> Unix.socket_domain * Unix.sockaddr
+
+(** [listen addr] — a bound, listening socket: the one listener
+    constructor behind [Server] and [Telemetry].  A stale Unix-socket
+    path (no listener behind it) is reclaimed; a live one raises
+    [Failure].  TCP sets [SO_REUSEADDR]; port 0 binds an ephemeral
+    port.  The socket is closed if binding fails.
+    @raise Unix.Unix_error on bind problems. *)
+val listen : t -> Unix.file_descr

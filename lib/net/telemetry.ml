@@ -165,21 +165,7 @@ let accept_loop t =
   loop ()
 
 let start ~health addr =
-  let domain, sa = Addr.sockaddr addr in
-  (match addr with
-  | Addr.Unix_sock path when Sys.file_exists path -> (
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-  | _ -> ());
-  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
-  (match addr with
-  | Addr.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-  | Addr.Unix_sock _ -> ());
-  (try
-     Unix.bind fd sa;
-     Unix.listen fd 16
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
+  let fd = Addr.listen addr in
   let t =
     {
       addr;

@@ -20,8 +20,10 @@ type health = {
 
 type t
 
-(** [start ~health addr] — bind, listen, and serve on a background
-    thread.  [health] is sampled per [/healthz] request.
+(** [start ~health addr] — bind, listen ({!Addr.listen}: a live
+    Unix-socket path, such as a running server's, raises [Failure]
+    and is left alone), and serve on a background thread.  [health]
+    is sampled per [/healthz] request.
     @raise Unix.Unix_error / Failure on bind problems. *)
 val start : health:(unit -> health) -> Addr.t -> t
 

@@ -39,14 +39,15 @@ let job ?budget ~id ~spec check text =
 let all_checks = [ Job.Linearizable; Job.T_lin 2; Job.Min_t; Job.Weak; Job.Full ]
 
 (* [--telemetry-slow] emits the one-job corpus behind `make
-   telemetry-smoke` ([test/support/telemetry_slow.jobs]): a depth-10
-   unsatisfiable register history (10 pending writes racing a reader —
-   refutation walks ~d! interleavings) against the load harness's
-   ["elin.load.reg"] spec, bounded by a 5 s timeout.  Submitted to a
-   draining server it pins a worker for seconds, which is exactly the
-   window the smoke test needs to observe /healthz flip to 503. *)
+   telemetry-smoke` ([test/support/telemetry_slow.jobs]): a depth-16
+   unsatisfiable register history (16 pending writes racing a reader;
+   even with the memo, refutation visits ~2^16 * 17 nodes, several
+   seconds) against the load harness's ["elin.load.reg"] spec, bounded
+   by a 3 s timeout.  Submitted to a draining server it pins a worker
+   for seconds, which is exactly the window the smoke test needs to
+   observe /healthz flip to 503. *)
 let telemetry_slow () =
-  let d = 10 in
+  let d = 16 in
   let events =
     List.init d (fun i -> Event.invoke ~proc:(i + 1) ~obj:0 (Op.write (i + 1)))
     @ List.concat_map
@@ -64,7 +65,7 @@ let telemetry_slow () =
   let text = Textio.to_string (History.of_events events) in
   emit 0
     { (job ~id:"slow-drain" ~spec:"elin.load.reg" Job.Linearizable text) with
-      Job.timeout_ms = Some 5000;
+      Job.timeout_ms = Some 3000;
     }
 
 let () =

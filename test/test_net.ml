@@ -443,6 +443,161 @@ let test_malformed_payload_is_bad_job () =
           Alcotest.(check string) "session continues" "after"
             v2.Verdict.job_id))
 
+(* [recv_verdict] that fails instead of hanging when a verdict is
+   lost. *)
+let recv_verdict_within c =
+  match Client.recv_idle c ~idle_s:10. with
+  | `Verdict v -> v
+  | `Idle -> Alcotest.fail "no verdict within 10 s"
+  | `Eof -> Alcotest.fail "unexpected EOF"
+  | `Error e -> Alcotest.failf "protocol error: %s" e
+
+(* Block admission under a burst: with the only worker wedged and the
+   one-slot queue full, the server stops reading the connection and
+   holds its decoded frames; once the gate opens every job is still
+   answered, under its own id. *)
+let test_block_burst () =
+  Atomic.set gate_open false;
+  Atomic.set gate_entered 0;
+  with_server ~domains:1 ~queue_capacity:1 ~resolve (fun addr srv ->
+      let c = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set gate_open true;
+          Client.close c)
+        (fun () ->
+          Client.send c (job ~id:"wedge" ~spec:"gate");
+          Alcotest.(check bool) "worker entered the gate" true
+            (wait_for (fun () -> Atomic.get gate_entered > 0));
+          let ids = List.init 32 (Printf.sprintf "burst%d") in
+          List.iter
+            (fun id -> Client.send c (job ~id ~spec:"fetch&increment"))
+            ids;
+          Alcotest.(check bool) "the queue fills behind the wedged worker" true
+            (wait_for (fun () -> Server.queue_depth srv = 1));
+          Atomic.set gate_open true;
+          let got =
+            List.init 33 (fun _ ->
+                let v = recv_verdict_within c in
+                Alcotest.(check bool) "verdict is a pass" true
+                  (v.Verdict.status = Verdict.Pass);
+                v.Verdict.job_id)
+          in
+          Alcotest.(check (list string)) "every job answered under its id"
+            (List.sort compare ("wedge" :: ids))
+            (List.sort compare got)))
+
+let raw_connect = function
+  | Addr.Unix_sock path ->
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      fd
+  | Addr.Tcp _ -> Alcotest.fail "raw_connect: unix sockets only"
+
+(* Write [bytes], half-close if asked, and expect one framing verdict
+   followed by end of stream. *)
+let expect_framing_error addr ~bytes ~half_close =
+  let fd = raw_connect addr in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+      if half_close then Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let dec = Frame.decoder () and scratch = Bytes.create 4096 in
+      (match Frame.read_frame fd dec scratch with
+      | `Frame p ->
+          Alcotest.(check bool) "bad_job framing verdict" true
+            (contains p "bad_job" && contains p "framing")
+      | `Eof | `Error _ -> Alcotest.fail "no framing verdict");
+      match Frame.read_frame fd dec scratch with
+      | `Eof -> ()
+      | `Frame _ | `Error _ -> Alcotest.fail "broken session must end in EOF")
+
+(* A broken or greedy connection costs itself only: B, open all along,
+   is answered before and after A's framing errors and C's eviction. *)
+let test_connection_isolation () =
+  let dropped = Elin_obs.Metrics.counter "net.dropped" in
+  with_server ~domains:2 (fun addr srv ->
+      let b = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close b)
+        (fun () ->
+          let served id =
+            Client.send b (job ~id ~spec:"fetch&increment");
+            let v = recv_verdict_within b in
+            Alcotest.(check string) ("B served " ^ id) id v.Verdict.job_id
+          in
+          served "b0";
+          expect_framing_error addr ~bytes:"\xff\xff\xff\xff"
+            ~half_close:false;
+          served "b1";
+          expect_framing_error addr
+            ~bytes:(String.sub (Frame.encode (String.make 100 'x')) 0 10)
+            ~half_close:true;
+          served "b2";
+          let before = Elin_obs.Metrics.Counter.value dropped in
+          let c = Client.connect addr in
+          let rec flood i =
+            if i >= 200_000 then Alcotest.fail "C was never evicted"
+            else
+              let id = Printf.sprintf "c%d" i in
+              match Client.send c (job ~id ~spec:"fetch&increment") with
+              | () -> flood (i + 1)
+              | exception Unix.Unix_error _ -> ()
+          in
+          flood 0;
+          Client.close c;
+          Alcotest.(check bool) "eviction counted in net.dropped" true
+            (Elin_obs.Metrics.Counter.value dropped > before);
+          served "b3";
+          Server.stop srv))
+
+let task_count () = Array.length (Sys.readdir "/proc/self/task")
+
+let test_idle_connections_add_no_threads () =
+  if not (Sys.file_exists "/proc/self/task") then Alcotest.skip ();
+  with_server ~domains:1 (fun addr srv ->
+      (* One job first: a worker domain starts its runtime's helper
+         thread only once it runs. *)
+      ignore (Client.run_jobs addr [ job ~id:"warm" ~spec:"fetch&increment" ]);
+      Alcotest.(check bool) "warm-up connection closed" true
+        (wait_for (fun () -> Server.connections srv = 0));
+      let before = task_count () in
+      let clients = List.init 8 (fun _ -> Client.connect addr) in
+      Fun.protect
+        ~finally:(fun () -> List.iter Client.close clients)
+        (fun () ->
+          Alcotest.(check bool) "8 connections open" true
+            (wait_for (fun () -> Server.connections srv = 8));
+          if not (wait_for ~timeout_s:1.0 (fun () -> task_count () = before))
+          then
+            Alcotest.failf "%d tasks with 8 idle connections, %d with none"
+              (task_count ()) before))
+
+(* A second listener on a live server's Unix socket must fail, not
+   unlink the socket out from under the server. *)
+let test_telemetry_spares_live_socket () =
+  with_server ~domains:1 (fun addr _srv ->
+      let health () =
+        {
+          Telemetry.state = "serving";
+          queue_depth = 0;
+          connections = 0;
+          workers = 1;
+        }
+      in
+      (match Telemetry.start ~health addr with
+      | exception Failure _ -> ()
+      | t ->
+          Telemetry.stop t;
+          Alcotest.fail "Telemetry.start took a live server's socket");
+      let still = job ~id:"still" ~spec:"fetch&increment" in
+      match Client.run_jobs addr [ still ] with
+      | [ v ] ->
+          Alcotest.(check string) "server still answers" "still"
+            v.Verdict.job_id
+      | _ -> Alcotest.fail "expected one verdict")
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -462,6 +617,8 @@ let () =
         [
           Support.quick "textual forms" test_addr_parse;
           Support.quick "canonical round-trip" test_addr_roundtrip;
+          Support.quick "telemetry refuses a live server's socket"
+            test_telemetry_spares_live_socket;
         ] );
       ( "e2e",
         [
@@ -478,6 +635,12 @@ let () =
             test_drain_answers_in_flight;
           Support.quick "malformed payload costs a bad_job, not the session"
             test_malformed_payload_is_bad_job;
+          Support.quick "block admission answers a pipelined burst"
+            test_block_burst;
+          Support.quick "one connection's failure spares another"
+            test_connection_isolation;
+          Support.quick "idle connections add no threads"
+            test_idle_connections_add_no_threads;
         ] );
       ( "trace",
         [
