@@ -90,9 +90,11 @@ let with_flight flight f =
     Obs.Recorder.install_sigusr1 ();
     Fun.protect ~finally:(fun () -> Obs.Recorder.set_sink None) f
 
-(* The --progress heartbeat: a sampler domain reads the live registry
+(* The --progress heartbeat: a sampler thread reads the live registry
    and prints one stderr line per period.  Purely an observer — it
-   touches no search state, so it cannot perturb determinism. *)
+   touches no search state, so it cannot perturb determinism.  A
+   thread, not a domain: a mostly-sleeping extra domain would still
+   take part in every stop-the-world minor collection. *)
 let progress_loop ~period ~stop =
   let value name =
     match Obs.Metrics.find name with
@@ -157,11 +159,11 @@ let with_progress secs f =
   | Some s when s > 0. ->
     Obs.Metrics.enable ();
     let stop = Atomic.make false in
-    let sampler = Domain.spawn (fun () -> progress_loop ~period:s ~stop) in
+    let sampler = Thread.create (fun () -> progress_loop ~period:s ~stop) () in
     Fun.protect
       ~finally:(fun () ->
         Atomic.set stop true;
-        Domain.join sampler)
+        Thread.join sampler)
       f
   | Some _ | None -> f ()
 
@@ -1366,7 +1368,7 @@ let do_batch domains job_budget timeout_ms stats metrics_out connect decompose
         if decompose then Elin_svc.Split.run_lines else Elin_svc.Pool.run_lines
       in
       let verdicts =
-        run ?queue_capacity:None ?default_budget:job_budget
+        run ?default_budget:job_budget
           ?default_timeout_ms:timeout_ms ?resolve:None ~domains lines
       in
       List.iter

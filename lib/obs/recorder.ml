@@ -12,7 +12,7 @@ type entry = {
 let cap = 256
 
 type ring = {
-  rdom : int;
+  mutable rdom : int;
   slots : entry option array;
   mutable next : int;  (* next write position, wraps mod cap *)
   mutable total : int; (* entries ever written to this ring *)
@@ -21,19 +21,32 @@ type ring = {
 let all_rings : ring list ref = ref []
 let rings_mu = Mutex.create ()
 
+(* Rings whose domain has exited, for the next domain to need one: a
+   process that spawns domains over and over (the service's batch path
+   does, on every call) holds one ring per live domain, not one per
+   domain it ever ran.  A reused ring keeps its old entries until they
+   are overwritten, so a post-mortem still sees them. *)
+let free_rings : ring list ref = ref []
+
 let ring_key =
   Domain.DLS.new_key (fun () ->
-      let r =
-        {
-          rdom = (Domain.self () :> int);
-          slots = Array.make cap None;
-          next = 0;
-          total = 0;
-        }
-      in
       Mutex.lock rings_mu;
-      all_rings := r :: !all_rings;
+      let r =
+        match !free_rings with
+        | r :: rest ->
+          free_rings := rest;
+          r
+        | [] ->
+          let r = { rdom = 0; slots = Array.make cap None; next = 0; total = 0 } in
+          all_rings := r :: !all_rings;
+          r
+      in
       Mutex.unlock rings_mu;
+      r.rdom <- (Domain.self () :> int);
+      Domain.at_exit (fun () ->
+          Mutex.lock rings_mu;
+          free_rings := r :: !free_rings;
+          Mutex.unlock rings_mu);
       r)
 
 let enabled = Atomic.make true

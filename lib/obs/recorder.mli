@@ -6,8 +6,10 @@
 
     Unlike {!Trace} (opt-in, unbounded growth) the recorder runs by
     default in every process with a hard memory bound: one 256-slot
-    ring per domain, overwritten oldest-first.  [note] is for {e cold}
-    sites only — per-job, per-frame, per-segment, per-checkpoint —
+    ring per live domain, overwritten oldest-first (a domain that
+    exits hands its ring, entries and all, to the next new domain).
+    [note] is for {e cold} sites only — per-job, per-frame,
+    per-segment, per-checkpoint —
     never per-state or per-access; each note is one clock read and one
     small allocation.
 

@@ -72,13 +72,18 @@ let metrics_json () =
         ("max_ms", ms h.Obs.Metrics.max);
       ])
 
+(* What a job runs under; shared by the service pool and [run_batch]. *)
+type config = {
+  resolve : string -> Spec.t;
+  default_budget : int option;
+  default_timeout_ms : int option;
+}
+
 type t = {
   input : (Job.t * bool Atomic.t) Chan.t;
   output : Verdict.t Chan.t;
   mutable workers : (unit, exn) result Domain.t array;
-  resolve : string -> Spec.t;
-  default_budget : int option;
-  default_timeout_ms : int option;
+  cfg : config;
   (* Most recent cancellation flag per job id. *)
   cancels : (string, bool Atomic.t) Hashtbl.t;
   cancels_m : Mutex.t;
@@ -90,7 +95,7 @@ type t = {
 (* Executing one job                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let exec pool (job : Job.t) cancel_flag =
+let exec cfg (job : Job.t) cancel_flag =
   (* Monotonic: a wall-clock adjustment mid-job must not skew the
      latency sample or fire/defer the deadline. *)
   let t0 = Obs.Clock.now_s () in
@@ -107,13 +112,13 @@ let exec pool (job : Job.t) cancel_flag =
     }
   in
   match
-    let spec = pool.resolve job.Job.spec in
+    let spec = cfg.resolve job.Job.spec in
     let h = Textio.of_string job.Job.history_text in
     let deadline =
       match
         (match job.Job.timeout_ms with
         | Some _ as ms -> ms
-        | None -> pool.default_timeout_ms)
+        | None -> cfg.default_timeout_ms)
       with
       | Some ms -> Some (t0 +. (float_of_int ms /. 1000.))
       | None -> None
@@ -129,7 +134,7 @@ let exec pool (job : Job.t) cancel_flag =
     let budget =
       match job.Job.node_budget with
       | Some _ as b -> b
-      | None -> pool.default_budget
+      | None -> cfg.default_budget
     in
     let engine_prepared () =
       Engine.prepare (Engine.for_spec ?node_budget:budget ~poll spec) h
@@ -187,6 +192,44 @@ let exec pool (job : Job.t) cancel_flag =
     finish (Verdict.Failed (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
+(* Running one job: the path every worker and batch domain takes      *)
+(* ------------------------------------------------------------------ *)
+
+let run_job cfg (job : Job.t) cancel_flag =
+  let span_ts = Obs.Trace.begin_ns () in
+  Obs.Recorder.note "job.start" ~id:job.Job.id;
+  let v = exec cfg job cancel_flag in
+  let status_s = Verdict.status_to_string v.Verdict.status in
+  if Obs.Trace.on () then
+    Obs.Trace.complete ~cat:"svc" ~ts:span_ts "svc.job"
+      ~args:
+        ([
+           ("id", Obs.Jsonl.Str v.Verdict.job_id);
+           ("status", Obs.Jsonl.Str status_s);
+         ]
+        @ (match job.Job.trace with
+          | Some t -> [ ("trace", Obs.Jsonl.Str t) ]
+          | None -> [])
+        @
+        match job.Job.parent with
+        | Some p -> [ ("parent", Obs.Jsonl.Str p) ]
+        | None -> []);
+  Obs.Recorder.note "job.done" ~id:job.Job.id
+    ~args:
+      [
+        ("status", Obs.Jsonl.Str status_s);
+        ("wall_ms", Obs.Jsonl.Float v.Verdict.wall_ms);
+      ];
+  (* A crashed or timed-out job is exactly the post-mortem the flight
+     recorder exists for; no-op unless a sink is set. *)
+  (match v.Verdict.status with
+  | Verdict.Failed _ -> Obs.Recorder.dump ~reason:"job_failed" ~job:job.Job.id ()
+  | Verdict.Timed_out -> Obs.Recorder.dump ~reason:"job_timeout" ~job:job.Job.id ()
+  | _ -> ());
+  record v;
+  v
+
+(* ------------------------------------------------------------------ *)
 (* Workers                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -195,37 +238,7 @@ let rec worker_loop pool =
   | None -> () (* input closed and drained: clean exit *)
   | Some (job, cancel_flag) ->
     if Obs.Metrics.on () then Obs.Metrics.Gauge.set g_queue (Chan.length pool.input);
-    let span_ts = Obs.Trace.begin_ns () in
-    Obs.Recorder.note "job.start" ~id:job.Job.id;
-    let v = exec pool job cancel_flag in
-    let status_s = Verdict.status_to_string v.Verdict.status in
-    if Obs.Trace.on () then
-      Obs.Trace.complete ~cat:"svc" ~ts:span_ts "svc.job"
-        ~args:
-          ([
-             ("id", Obs.Jsonl.Str v.Verdict.job_id);
-             ("status", Obs.Jsonl.Str status_s);
-           ]
-          @ (match job.Job.trace with
-            | Some t -> [ ("trace", Obs.Jsonl.Str t) ]
-            | None -> [])
-          @
-          match job.Job.parent with
-          | Some p -> [ ("parent", Obs.Jsonl.Str p) ]
-          | None -> []);
-    Obs.Recorder.note "job.done" ~id:job.Job.id
-      ~args:
-        [
-          ("status", Obs.Jsonl.Str status_s);
-          ("wall_ms", Obs.Jsonl.Float v.Verdict.wall_ms);
-        ];
-    (* A crashed or timed-out job is exactly the post-mortem the
-       flight recorder exists for; no-op unless a sink is set. *)
-    (match v.Verdict.status with
-    | Verdict.Failed _ -> Obs.Recorder.dump ~reason:"job_failed" ~job:job.Job.id ()
-    | Verdict.Timed_out ->
-      Obs.Recorder.dump ~reason:"job_timeout" ~job:job.Job.id ()
-    | _ -> ());
+    let v = run_job pool.cfg job cancel_flag in
     (* Drop the cancellation entry once the job is done (unless a
        resubmission under the same id has already replaced it): a
        long-lived server must not accumulate one entry per job. *)
@@ -234,7 +247,6 @@ let rec worker_loop pool =
     | Some f when f == cancel_flag -> Hashtbl.remove pool.cancels job.Job.id
     | _ -> ());
     Mutex.unlock pool.cancels_m;
-    record v;
     Chan.put pool.output v;
     worker_loop pool
 
@@ -248,9 +260,7 @@ let create ?(queue_capacity = 64) ?default_budget ?default_timeout_ms
       input = Chan.create ~capacity:queue_capacity ();
       output = Chan.create ~capacity:queue_capacity ();
       workers = [||];
-      resolve;
-      default_budget;
-      default_timeout_ms;
+      cfg = { resolve; default_budget; default_timeout_ms };
       cancels = Hashtbl.create 64;
       cancels_m = Mutex.create ();
       shut_down = false;
@@ -334,41 +344,45 @@ let shutdown pool =
 (* Batch driver                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
+(* A work-sharing parallel map: [domains - 1] helpers and the calling
+   domain claim job indices from one counter until none are left, and
+   each writes its verdict into the job's slot.  Nothing blocks, so no
+   domain sits idle through a stop-the-world collection.  Batch jobs
+   cannot be cancelled: they all share a flag nobody sets. *)
+let run_batch ?default_budget ?default_timeout_ms ?(resolve = default_resolve)
     ~domains jobs =
-  let pool =
-    create ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
-      ~domains ()
+  if domains < 1 then invalid_arg "Pool.run_batch: domains must be >= 1";
+  let cfg = { resolve; default_budget; default_timeout_ms } in
+  let jobs = Array.of_list jobs in
+  let n = Array.length jobs in
+  Array.iter
+    (fun (j : Job.t) ->
+      Obs.Trace.instant ~cat:"svc" "svc.enqueue"
+        ~args:[ ("id", Obs.Jsonl.Str j.Job.id) ];
+      Obs.Metrics.Counter.incr m_submitted)
+    jobs;
+  let slots = Array.make n None in
+  let next = Atomic.make 0 in
+  let never = Atomic.make false in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      slots.(i) <- Some (run_job cfg jobs.(i) never);
+      work ()
+    end
   in
-  (* Feed from a separate domain so the main domain can drain verdicts
-     concurrently: with both channels bounded, feeding and draining
-     from one thread would deadlock once both fill up. *)
-  let feeder =
-    Domain.spawn (fun () ->
-        match
-          List.iter (fun j -> submit pool j) jobs;
-          shutdown pool
-        with
-        | () -> Ok ()
-        | exception e ->
-          (* Unblock the drain loop, then report. *)
-          Chan.close pool.input;
-          Chan.close pool.output;
-          Error e)
+  let guarded () = try Ok (work ()) with e -> Error e in
+  (* No helper a job could not keep busy. *)
+  let helpers =
+    Array.init (max 0 (min (domains - 1) (n - 1))) (fun _ -> Domain.spawn guarded)
   in
-  let verdicts = ref [] in
-  let rec drain () =
-    match take_verdict pool with
-    | Some v ->
-      verdicts := v :: !verdicts;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  (match Domain.join feeder with Ok () -> () | Error e -> raise e);
-  List.sort
+  let mine = guarded () in
+  (* Join EVERY helper before re-raising anything. *)
+  let results = mine :: Array.to_list (Array.map Domain.join helpers) in
+  List.iter (function Ok () -> () | Error e -> raise e) results;
+  List.stable_sort
     (fun a b -> compare a.Verdict.seq b.Verdict.seq)
-    !verdicts
+    (Array.to_list (Array.map Option.get slots))
 
 (* ------------------------------------------------------------------ *)
 (* JSONL front door                                                   *)
@@ -403,18 +417,15 @@ let parse_jobs lines =
              ])
        lines)
 
-let run_lines ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
-    ~domains lines =
-  let entries = parse_jobs lines in
-  let jobs = List.filter_map (function `Job j -> Some j | `Bad _ -> None) entries in
-  let bads =
-    List.filter_map (function `Bad v -> Some v | `Job _ -> None) entries
+let with_lines run lines =
+  let jobs, bads =
+    List.partition_map
+      (function `Job j -> Either.Left j | `Bad v -> Either.Right v)
+      (parse_jobs lines)
   in
   List.iter record bads;
-  let done_ =
-    run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
-      ~domains jobs
-  in
-  List.sort
-    (fun a b -> compare a.Verdict.seq b.Verdict.seq)
-    (bads @ done_)
+  (* Both lists are in seq order. *)
+  List.merge (fun a b -> compare a.Verdict.seq b.Verdict.seq) bads (run jobs)
+
+let run_lines ?default_budget ?default_timeout_ms ?resolve ~domains lines =
+  with_lines (run_batch ?default_budget ?default_timeout_ms ?resolve ~domains) lines

@@ -1,8 +1,10 @@
-(** The batched checking service: a persistent pool of worker domains
-    pulling jobs from a bounded channel and emitting structured
-    verdicts.
+(** The batched checking service, in two shapes that run every job
+    through one per-job path (execute, [svc.job] span, recorder notes,
+    flight dumps on failure or timeout, {!record}).
 
     {2 Shape}
+
+    A persistent service pool ({!create}; [elin serve]):
 
     {v
             submit (blocks when full: backpressure)
@@ -11,21 +13,29 @@
                                               │  deadline, cancel flag,
                                               │  crash containment
     caller ◄──────────── [Chan: verdicts] ◄───┘
-            take / run_batch
+            take_verdict
+    v}
+
+    A one-shot batch ({!run_batch}; [elin batch], the spool):
+
+    {v
+    jobs array ──► next index (Atomic.fetch_and_add)
+                     ├─► calling domain ──┐
+                     └─► N-1 helpers ─────┴─► verdict slots ──► seq order
     v}
 
     {2 Isolation and containment}
 
-    Each job runs sequentially on one worker under its own
+    Each job runs sequentially on one domain under its own
     [Budget.counter] (node budget) and a poll hook checking its
     wall-clock deadline and cancellation flag.  {e Any} exception a
     job raises — a poisoned spec, a malformed history, a checker bug —
     becomes that job's verdict ([bad_job] / [failed] / [timed_out] /
     [budget_exhausted] / [cancelled]); the worker and the pool
-    survive.  Only harness-level failures (a worker dying outside job
+    survive.  Only harness-level failures (a domain dying outside job
     execution) propagate, and then via the join-all-then-reraise
-    discipline of [Mc.Search.bfs]: {!shutdown} joins every domain
-    before re-raising, so no domain is ever leaked.
+    discipline of [Mc.Search.bfs]: {!shutdown} and {!run_batch} join
+    every domain before re-raising, so no domain is ever leaked.
 
     {2 Determinism}
 
@@ -97,12 +107,15 @@ val output_depth : t -> int
     all domains are joined. *)
 val shutdown : t -> unit
 
-(** [run_batch ~domains jobs] — the whole lifecycle: create, feed
-    (from a separate domain, so the caller's drain provides the
-    backpressure), shut down, and return verdicts sorted back into
-    submission order.  Deterministic output for any [domains]. *)
+(** [run_batch ~domains jobs] — check a whole batch on [domains]
+    domains, the calling one included: it and [domains - 1] helper
+    domains (fewer for a batch of fewer jobs; none when [domains = 1])
+    take the jobs in list order from a shared counter.  Returns the
+    verdicts sorted by [seq] (ties in list order), the same for any
+    [domains].  Each job counts once in [svc.submitted]; batch jobs
+    cannot be {!cancel}led.  Raises [Invalid_argument] when
+    [domains < 1]. *)
 val run_batch :
-  ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
   ?resolve:(string -> Spec.t) ->
@@ -116,11 +129,15 @@ val run_batch :
 val parse_jobs :
   string list -> [ `Job of Job.t | `Bad of Verdict.t ] list
 
-(** [run_lines ~domains lines] — {!parse_jobs} + {!run_batch}, with
-    the bad-line verdicts {!record}ed and merged back in submission
-    order: the engine behind [elin batch] and the spool. *)
+(** [with_lines run lines] — {!parse_jobs}, {!record} the bad-line
+    verdicts, check the jobs with [run] (which must return verdicts in
+    [seq] order) and merge both back in submission order. *)
+val with_lines :
+  (Job.t list -> Verdict.t list) -> string list -> Verdict.t list
+
+(** [run_lines ~domains lines] — {!with_lines} over {!run_batch}: the
+    engine behind [elin batch] and the spool. *)
 val run_lines :
-  ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
   ?resolve:(string -> Spec.t) ->

@@ -114,11 +114,10 @@ let compose ~job ~hist ~objs (subs : Verdict.t list) : Verdict.t =
 
 (* [run_batch] with decomposition: expand, renumber every submitted
    job into a fresh dense seq space (run_batch sorts by it), run ONE
-   pool over the union, then fold each split job's sub-verdicts back.
-   Output is in original submission order, deterministic for any
-   [domains]. *)
-let run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
-    ~domains jobs =
+   [Pool.run_batch] over the union, then fold each split job's
+   sub-verdicts back.  Output is in original submission order,
+   deterministic for any [domains]. *)
+let run_batch ?default_budget ?default_timeout_ms ?resolve ~domains jobs =
   let slots = List.map expand jobs in
   let next = ref 0 in
   let fresh j =
@@ -134,8 +133,7 @@ let run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
       slots
   in
   let verdicts =
-    Pool.run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
-      ~domains submitted
+    Pool.run_batch ?default_budget ?default_timeout_ms ?resolve ~domains submitted
   in
   (* run_batch returns them sorted by the fresh seqs = slot order. *)
   let rec fold slots verdicts acc =
@@ -161,20 +159,5 @@ let run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
   let composed = fold slots verdicts [] in
   List.sort (fun a b -> compare a.Verdict.seq b.Verdict.seq) composed
 
-(* parse + run + merge bad lines: the decomposed twin of
-   [Pool.run_lines] (the engine behind [elin batch --decompose]). *)
-let run_lines ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
-    ~domains lines =
-  let entries = Pool.parse_jobs lines in
-  let jobs =
-    List.filter_map (function `Job j -> Some j | `Bad _ -> None) entries
-  in
-  let bads =
-    List.filter_map (function `Bad v -> Some v | `Job _ -> None) entries
-  in
-  List.iter Pool.record bads;
-  let done_ =
-    run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
-      ~domains jobs
-  in
-  List.sort (fun a b -> compare a.Verdict.seq b.Verdict.seq) (bads @ done_)
+let run_lines ?default_budget ?default_timeout_ms ?resolve ~domains lines =
+  Pool.with_lines (run_batch ?default_budget ?default_timeout_ms ?resolve ~domains) lines

@@ -17,7 +17,6 @@
     whole, so error verdicts are the pool's own. *)
 
 val run_batch :
-  ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
   ?resolve:(string -> Elin_spec.Spec.t) ->
@@ -25,10 +24,9 @@ val run_batch :
   Job.t list ->
   Verdict.t list
 
-(** The decomposed twin of [Pool.run_lines]: parse, run, merge
-    bad-line verdicts back in submission order. *)
+(** The decomposed twin of [Pool.run_lines]: [Pool.with_lines] over
+    {!run_batch}. *)
 val run_lines :
-  ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
   ?resolve:(string -> Elin_spec.Spec.t) ->

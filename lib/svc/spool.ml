@@ -40,12 +40,11 @@ let write_atomic path body =
     (fun () -> output_string oc body);
   Sys.rename tmp path
 
-let process_file ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
-    ?(stats = false) ~domains ~dir name =
+let process_file ?default_budget ?default_timeout_ms ?resolve ?(stats = false)
+    ~domains ~dir name =
   let lines = read_lines (Filename.concat dir (name ^ jobs_ext)) in
   let verdicts =
-    Pool.run_lines ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
-      ~domains lines
+    Pool.run_lines ?default_budget ?default_timeout_ms ?resolve ~domains lines
   in
   let body =
     String.concat "" (List.map (fun v -> Verdict.to_line ~stats v ^ "\n") verdicts)
@@ -59,24 +58,24 @@ let process_file ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
              [ ("file", Str (name ^ jobs_ext)); ("metrics", Pool.metrics_json ()) ]));
   verdicts
 
-let scan_once ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
-    ?stats ~domains ~dir () =
+let scan_once ?default_budget ?default_timeout_ms ?resolve ?stats ~domains ~dir
+    () =
   List.fold_left
     (fun n name ->
       ignore
-        (process_file ?queue_capacity ?default_budget ?default_timeout_ms
-           ?resolve ?stats ~domains ~dir name);
+        (process_file ?default_budget ?default_timeout_ms ?resolve ?stats
+           ~domains ~dir name);
       n + 1)
     0 (pending ~dir)
 
-let watch ?queue_capacity ?default_budget ?default_timeout_ms ?resolve ?stats
+let watch ?default_budget ?default_timeout_ms ?resolve ?stats
     ?(poll_ms = 200) ?(stop = fun () -> false) ~domains ~dir () =
   let rec loop () =
     if stop () then ()
     else begin
       let n =
-        scan_once ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
-          ?stats ~domains ~dir ()
+        scan_once ?default_budget ?default_timeout_ms ?resolve ?stats ~domains
+          ~dir ()
       in
       if n = 0 then Unix.sleepf (float_of_int poll_ms /. 1000.);
       loop ()

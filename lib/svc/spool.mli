@@ -23,7 +23,6 @@ val pending : dir:string -> string list
     the pool and atomically write [dir/name.verdicts].  Returns the
     verdicts (submission order). *)
 val process_file :
-  ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
   ?resolve:(string -> Spec.t) ->
@@ -36,7 +35,6 @@ val process_file :
 (** [scan_once ~domains ~dir ()] — process every pending job file
     once; returns how many files were processed. *)
 val scan_once :
-  ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
   ?resolve:(string -> Spec.t) ->
@@ -50,7 +48,6 @@ val scan_once :
     [stop () = true], checked once per scan): {!scan_once}, sleep
     [poll_ms] (default 200) when idle, repeat. *)
 val watch :
-  ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
   ?resolve:(string -> Spec.t) ->

@@ -453,6 +453,19 @@ let test_recorder_ring_bound () =
   Alcotest.(check int) "clear empties the ring" 0
     (List.length (Obs.Recorder.entries ()))
 
+(* Domains spawned one after another share one recycled ring, so the
+   recorder stays bounded in a process that spawns domains per batch. *)
+let test_recorder_rings_recycled () =
+  Obs.Recorder.clear ();
+  for i = 1 to 300 do
+    Domain.join (Domain.spawn (fun () -> Obs.Recorder.note "tick" ~id:(string_of_int i)))
+  done;
+  let es = Obs.Recorder.entries () in
+  Alcotest.(check int) "one ring for 300 short domains" 256 (List.length es);
+  Alcotest.(check string) "newest entry kept" "300"
+    (List.nth es 255).Obs.Recorder.id;
+  Obs.Recorder.clear ()
+
 (* ------------------------------------------------------------------ *)
 (* Trace metadata + offline analysis toolkit                          *)
 (* ------------------------------------------------------------------ *)
@@ -668,6 +681,7 @@ let () =
         [
           Support.quick "ring bound drops oldest first"
             test_recorder_ring_bound;
+          Support.quick "rings outlive no domain" test_recorder_rings_recycled;
         ] );
       ( "trace-tools",
         [

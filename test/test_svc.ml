@@ -488,6 +488,100 @@ let test_metrics_one_source () =
     [ ("completed", 3); ("pass", 1); ("violations", 1); ("bad_jobs", 1) ]
 
 (* ------------------------------------------------------------------ *)
+(* run_batch: the work-sharing batch path                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One job for each status a batch can end in. *)
+let mixed_jobs =
+  [
+    job ~id:"pass" ~seq:0 ~spec:"fetch&increment" Job.Linearizable;
+    { (job ~id:"refuted" ~seq:1 ~spec:"unsat-reg" Job.Linearizable)
+      with Job.history_text = unsat_reg_text };
+    job ~id:"poisoned" ~seq:2 ~spec:"poison" Job.Linearizable;
+    { (job ~budget:1 ~id:"tight" ~seq:3 ~spec:"unsat-reg" Job.Linearizable)
+      with Job.history_text = unsat_reg_text };
+    job ~timeout_ms:0 ~id:"late" ~seq:4 ~spec:"fetch&increment" Job.Full;
+    job ~id:"unknown" ~seq:5 ~spec:"no-such-spec" Job.Linearizable;
+  ]
+
+(* Every runner gives the same lines, and a batch counts each job once
+   in [svc.submitted] and once in [svc.completed]. *)
+let test_batch_matches_service () =
+  let n = List.length mixed_jobs in
+  let batch domains =
+    let submitted = svc_counter "submitted"
+    and completed = svc_counter "completed" in
+    let lines =
+      List.map Verdict.to_line (Pool.run_batch ~resolve ~domains mixed_jobs)
+    in
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "submitted, completed at %d domains" domains)
+      (n, n)
+      (svc_counter "submitted" - submitted, svc_counter "completed" - completed);
+    lines
+  in
+  let service =
+    let pool = Pool.create ~resolve ~domains:2 () in
+    List.iter (Pool.submit pool) mixed_jobs;
+    Pool.shutdown pool;
+    let rec drain acc =
+      match Pool.take_verdict pool with Some v -> drain (v :: acc) | None -> acc
+    in
+    List.map Verdict.to_line
+      (List.sort (fun a b -> compare a.Verdict.seq b.Verdict.seq) (drain []))
+  in
+  let one = batch 1 in
+  Alcotest.(check (list string)) "one verdict per status"
+    [ "pass"; "violation"; "failed"; "budget_exhausted"; "timed_out"; "bad_job" ]
+    (List.map
+       (fun l ->
+         match Elin_obs.Jsonl.(str_mem "status" (of_string l)) with
+         | Some s -> s
+         | None -> Alcotest.failf "no status in %s" l)
+       one);
+  Alcotest.(check (list string)) "domains=2 byte-identical" one (batch 2);
+  Alcotest.(check (list string)) "domains=3 byte-identical" one (batch 3);
+  Alcotest.(check (list string)) "service pool byte-identical" one service
+
+let test_batch_edges () =
+  Alcotest.(check int) "empty batch" 0 (List.length (Pool.run_batch ~domains:2 []));
+  Alcotest.check_raises "domains 0"
+    (Invalid_argument "Pool.run_batch: domains must be >= 1") (fun () ->
+      ignore (Pool.run_batch ~domains:0 mixed_jobs))
+
+(* d jobs at d domains, each held in [resolve] until d have started:
+   the batch finishes only if d domains run at once, and the caller's
+   must be one of them. *)
+let test_batch_domains_busy () =
+  List.iter
+    (fun d ->
+      let started = Atomic.make [] in
+      let rec add id =
+        let l = Atomic.get started in
+        if not (Atomic.compare_and_set started l (id :: l)) then add id
+      in
+      let resolve name =
+        add (Domain.self () :> int);
+        let deadline = Unix.gettimeofday () +. 5. in
+        while List.length (Atomic.get started) < d && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.001
+        done;
+        Pool.default_resolve name
+      in
+      let jobs =
+        List.init d (fun i ->
+            job ~id:(string_of_int i) ~seq:i ~spec:"fetch&increment" Job.Linearizable)
+      in
+      let vs = Pool.run_batch ~resolve ~domains:d jobs in
+      Alcotest.(check bool) "all pass" true
+        (List.for_all (fun v -> v.Verdict.status = Verdict.Pass) vs);
+      let ids = List.sort_uniq compare (Atomic.get started) in
+      Alcotest.(check int) (Printf.sprintf "%d domains ran jobs" d) d (List.length ids);
+      Alcotest.(check bool) "the caller's among them" true
+        (List.mem (Domain.self () :> int) ids))
+    [ 1; 2; 3 ]
+
+(* ------------------------------------------------------------------ *)
 (* run_lines and the spool                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -643,6 +737,10 @@ let () =
           Support.quick "timeout before start" test_timeout_pre_exec;
           Support.quick "timeout mid-run" test_timeout_mid_run;
           Support.quick "cooperative cancellation" test_cancellation;
+          Support.quick "mixed batch equals service pool"
+            test_batch_matches_service;
+          Support.quick "empty batch; domains 0 rejected" test_batch_edges;
+          Support.quick "batch keeps d domains busy" test_batch_domains_busy;
         ] );
       ( "service-metrics",
         [
