@@ -181,6 +181,13 @@ let cut_tables p ~t =
 (* The shared DFS core                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Initial bucket count of the per-run memo tables.  A bucket array
+   of at most 256 words is allocated in the minor heap; a larger one
+   (1024 buckets, say) would go straight into the major heap on every
+   run, though most runs store only a handful of entries.  [Hashtbl]
+   doubles the array on demand. *)
+let memo_initial = 16
+
 (* [run p ~t ~trace] — the one DFS behind search AND witness.  When
    [trace] is given, it accumulates the (operation, response) choices
    of the current branch (reversed); on success it holds the
@@ -210,7 +217,7 @@ let run ?hint ?init p ~t ~trace =
   let missing = n_preds in
   let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
   let memo_hits = ref 0 in
-  let memo = Memo_key.Memo.create 1024 in
+  let memo = Memo_key.Memo.create memo_initial in
   (* One state vector, mutated in place and restored on backtrack; the
      memo snapshots it ([Array.copy]) only when inserting a failure, so
      the hot path allocates nothing per transition. *)
@@ -400,7 +407,7 @@ let final_states ?init p =
   let missing = n_preds in
   let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
   let visited_hits = ref 0 in
-  let visited = Memo_key.Memo.create 1024 in
+  let visited = Memo_key.Memo.create memo_initial in
   let states =
     match init with
     | None -> Array.copy init_states
@@ -409,7 +416,7 @@ let final_states ?init p =
         invalid_arg "Engine.final_states: init state vector has wrong arity";
       Array.copy s
   in
-  let finals = Memo_key.Memo.create 16 in
+  let finals = Memo_key.Memo.create memo_initial in
   let no_ops = Bitset.empty 0 in
   let record () =
     let key = (no_ops, states) in

@@ -5,7 +5,7 @@
     mutex, this structure gives each domain {e outright ownership} of
     one shard: a fingerprint's owner is a pure function of its value
     ({!owner}), all [add]/[mem] traffic for it happens on the owning
-    domain, and the shard is a plain [Hashtbl] with no lock on the hot
+    domain, and the shard is a flat {!Fp_set} with no lock on the hot
     path.  Cross-domain synchronization is the {e caller's} routing
     discipline (the search hands fingerprints to their owner over
     {!Spsc} queues and separates phases with {!Barrier}); this module
@@ -24,13 +24,13 @@
     collapsing the striped path to a single mutex.) *)
 
 type t = {
-  tables : (int64, unit) Hashtbl.t array;
+  tables : Fp_set.t array;
   shards : int;
 }
 
 let create ?(shards = 1) () =
   if shards < 1 then invalid_arg "Shard_set.create: shards must be >= 1";
-  { tables = Array.init shards (fun _ -> Hashtbl.create 1024); shards }
+  { tables = Array.init shards (fun _ -> Fp_set.create ()); shards }
 
 let shards t = t.shards
 
@@ -47,18 +47,12 @@ let owner t (fp : int64) =
     [shard] (it is now).  The caller must be [shard]'s owning domain;
     [shard] must be [owner t fp] for membership to mean anything
     set-wide. *)
-let add t ~shard fp =
-  let tbl = t.tables.(shard) in
-  if Hashtbl.mem tbl fp then false
-  else begin
-    Hashtbl.add tbl fp ();
-    true
-  end
+let add t ~shard fp = Fp_set.add t.tables.(shard) fp
 
-let mem t ~shard fp = Hashtbl.mem t.tables.(shard) fp
+let mem t ~shard fp = Fp_set.mem t.tables.(shard) fp
 
-let shard_cardinal t shard = Hashtbl.length t.tables.(shard)
+let shard_cardinal t shard = Fp_set.length t.tables.(shard)
 
 (* Quiescent callers only (stats at end of search). *)
 let cardinal t =
-  Array.fold_left (fun n tbl -> n + Hashtbl.length tbl) 0 t.tables
+  Array.fold_left (fun n tbl -> n + Fp_set.length tbl) 0 t.tables

@@ -1,6 +1,6 @@
 (** Owner-partitioned set of 64-bit fingerprints: the sharded search's
-    visited set.  Each shard is a plain lock-free-because-single-owner
-    [Hashtbl]; a fingerprint's shard is the pure function {!owner} of
+    visited set.  Each shard is a lock-free-because-single-owner flat
+    {!Fp_set}; a fingerprint's shard is the pure function {!owner} of
     its value, and the caller's routing (SPSC handoff + barrier
     phases) guarantees only the owning domain ever touches a shard.
     The owner index reads the {e high} bits of {!Fingerprint.mix}

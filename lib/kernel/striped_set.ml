@@ -2,11 +2,11 @@
 
     The model checker's visited set is the one data structure every
     domain hammers concurrently, so it is sharded: a fingerprint's
-    {e mixed} low bits select one of [stripes] independent hash tables,
-    each behind its own [Mutex].  Two domains contend only when their
-    fingerprints land on the same stripe, so with the default 64
-    stripes and a handful of domains the lock is effectively
-    uncontended.  Only stdlib primitives are used ([Mutex] is
+    {e mixed} low bits select one of [stripes] independent flat
+    {!Fp_set}s (unboxed keys the GC never scans), each behind its own
+    [Mutex].  Two domains contend only when their fingerprints land on
+    the same stripe, so with the default 64 stripes and a handful of
+    domains the lock is effectively uncontended.  Only stdlib primitives are used ([Mutex] is
     domain-safe in OCaml 5; no [threads.posix] dependency).
 
     Stripe choice goes through {!Fingerprint.mix} rather than raw low
@@ -21,7 +21,7 @@
 
 type stripe = {
   lock : Mutex.t;
-  table : (int64, unit) Hashtbl.t;
+  table : Fp_set.t;
 }
 
 type t = {
@@ -48,7 +48,7 @@ let create ?(stripes = 64) () =
   {
     stripes =
       Array.init n (fun _ ->
-          { lock = Mutex.create (); table = Hashtbl.create 1024 });
+          { lock = Mutex.create (); table = Fp_set.create () });
     mask = n - 1;
     occupancy = Atomic.make 0;
   }
@@ -69,8 +69,7 @@ let stripe_of t (fp : int64) =
 let add t fp =
   let s = stripe_of t fp in
   Mutex.lock s.lock;
-  let fresh = not (Hashtbl.mem s.table fp) in
-  if fresh then Hashtbl.add s.table fp ();
+  let fresh = Fp_set.add s.table fp in
   Mutex.unlock s.lock;
   if Elin_obs.Metrics.on () then begin
     Elin_obs.Metrics.Counter.incr m_queries;
@@ -84,7 +83,7 @@ let add t fp =
 let mem t fp =
   let s = stripe_of t fp in
   Mutex.lock s.lock;
-  let r = Hashtbl.mem s.table fp in
+  let r = Fp_set.mem s.table fp in
   Mutex.unlock s.lock;
   if Elin_obs.Metrics.on () then Elin_obs.Metrics.Counter.incr m_queries;
   r
@@ -96,7 +95,7 @@ let mem t fp =
 let cardinal t =
   Array.fold_left (fun n s ->
       Mutex.lock s.lock;
-      let l = Hashtbl.length s.table in
+      let l = Fp_set.length s.table in
       Mutex.unlock s.lock;
       n + l)
     0 t.stripes
@@ -108,7 +107,7 @@ let occupancy t = Atomic.get t.occupancy
 let clear t =
   Array.iter (fun s ->
       Mutex.lock s.lock;
-      Hashtbl.reset s.table;
+      Fp_set.reset s.table;
       Mutex.unlock s.lock)
     t.stripes;
   Atomic.set t.occupancy 0

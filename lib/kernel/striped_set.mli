@@ -1,8 +1,8 @@
 (** Lock-striped set of 64-bit fingerprints: the model checker's
     visited set (legacy/sequential path; the sharded engine uses
     {!Shard_set}).  The {e mixed} low bits of a fingerprint
-    ({!Fingerprint.mix}) select one of [stripes] independent hash
-    tables, each behind its own stdlib [Mutex] (domain-safe in OCaml 5;
+    ({!Fingerprint.mix}) select one of [stripes] independent flat
+    {!Fp_set}s, each behind its own stdlib [Mutex] (domain-safe in OCaml 5;
     no [threads.posix]), so concurrent domains contend only on stripe
     collisions — and stripe dispersion stays uniform even for
     fingerprint families with fixed raw low bits (e.g. everything

@@ -22,7 +22,7 @@
       spawned: the engine degrades to a plain sequential BFS.
     - {e Sharded} (shared-nothing): domains are spawned once for the
       whole search; each owns a fixed shard of the fingerprint space
-      (plain per-domain [Hashtbl], no lock on the hot path), expands
+      (a flat per-domain [Fp_set], no lock on the hot path), expands
       its own frontier slice, and routes successors to their owner in
       fixed-size batches over SPSC queues; levels synchronize at a
       cheap two-phase epoch count.  See the long comment above
@@ -104,6 +104,53 @@ type vset = { vadd : int64 -> bool; vmem : int64 -> bool }
    Only intra-level copies reach the barrier merge.  [Plain] keeps
    everything untagged. *)
 type keep_mode = Plain | Immediate of vset | Tag of vset
+
+(* The level-merge table behind [?merge]: one mutable cell per
+   fingerprint, holding the first-generated copy merged with every
+   later one.  [order] keeps the cells newest first, so the survivors
+   come out in first-generated order without a second lookup. *)
+module Fp_tbl = Hashtbl.Make (struct
+  type t = int64
+
+  let equal = Int64.equal
+
+  (* Fingerprints are already avalanche-mixed. *)
+  let hash fp = Int64.to_int fp land max_int
+end)
+
+type 's cell = { fp : int64; mutable st : 's }
+type 's level_merge = { cells : 's cell Fp_tbl.t; mutable order : 's cell list }
+
+(* [n] sizes the table for the copies expected, so a level known in
+   advance never pays for rehashing. *)
+let level_merge n = { cells = Fp_tbl.create n; order = [] }
+
+(* [true] iff [fp] is new this level; otherwise [s] is merged into its
+   cell and counts as a dedup hit. *)
+let merge_in lm merge_fn fp s =
+  match Fp_tbl.find_opt lm.cells fp with
+  | None ->
+    let c = { fp; st = s } in
+    Fp_tbl.add lm.cells fp c;
+    lm.order <- c :: lm.order;
+    true
+  | Some c ->
+    c.st <- merge_fn c.st s;
+    false
+
+(* The level's survivors in first-generated order, each added to the
+   visited set; the table is emptied for the next level. *)
+let merge_survivors lm vadd =
+  let survivors =
+    List.rev_map
+      (fun c ->
+        ignore (vadd c.fp);
+        c.st)
+      lm.order
+  in
+  Fp_tbl.reset lm.cells;
+  lm.order <- [];
+  Array.of_list survivors
 
 (* Results of one domain's share of one level. *)
 type ('s, 'v) share = {
@@ -496,38 +543,28 @@ let bfs_barrier ?domains ?(dedup = true) ?(stripes = 64) ?(stop_early = true)
         level_found := List.rev_append share.found !level_found)
       shares;
     let next =
-      match mode, merge, visited with
-      | Tag _, Some merge_fn, Some visited ->
+      match mode, merge with
+      | Tag visited, Some merge_fn ->
         (* Barrier-time duplicate resolution, on the spawning domain:
            deterministic whatever the partition was, because [merge]
            is commutative/associative and equal fingerprints mean
-           equal states (modulo collision). *)
-        let tbl = Hashtbl.create 257 in
-        let order = ref [] in
+           equal states (modulo collision).  Expansion already dropped
+           every successor the visited set holds, and the set gains
+           nothing before [merge_survivors], so only intra-level
+           copies are left to resolve here. *)
+        let lm =
+          level_merge
+            (Array.fold_left (fun n share -> n + List.length share.next) 0 shares)
+        in
         Array.iter
           (fun share ->
             List.iter
-              (fun (fp, s) ->
-                if visited.vmem fp then incr hits
-                else
-                  match Hashtbl.find_opt tbl fp with
-                  | None ->
-                    Hashtbl.add tbl fp s;
-                    order := fp :: !order
-                  | Some s0 ->
-                    incr hits;
-                    Hashtbl.replace tbl fp (merge_fn s0 s))
+              (fun (fp, s) -> if not (merge_in lm merge_fn fp s) then incr hits)
               share.next)
           shares;
-        let survivors =
-          List.rev_map
-            (fun fp ->
-              ignore (visited.vadd fp);
-              Hashtbl.find tbl fp)
-            !order
-        in
-        kept := !kept + List.length survivors;
-        Array.of_list survivors
+        let survivors = merge_survivors lm visited.vadd in
+        kept := !kept + Array.length survivors;
+        survivors
       | _ ->
         let arr =
           Array.concat
@@ -640,7 +677,7 @@ let bfs_barrier ?domains ?(dedup = true) ?(stripes = 64) ?(stop_early = true)
    one striped, mutex-guarded visited set, re-spawning domains at
    every level.  Here each domain {e owns} a fixed shard of the
    fingerprint space outright ({!Elin_kernel.Shard_set.owner}): it
-   holds that shard's slice of the visited set in a plain [Hashtbl]
+   holds that shard's slice of the visited set in a flat [Fp_set]
    (no lock ever touches the hot path), expands exactly the frontier
    states it owns, and routes generated successors to their owner's
    inbox in fixed-size batches over per-(src,dst) SPSC queues.
@@ -775,9 +812,7 @@ let bfs_sharded ?domains ?(dedup = true) ?(stop_early = true) ?merge
     let all_found = ref [] and level_found = ref [] in
     let levels = ref 0 and peak = ref 0 in
     let next_acc = ref [] in
-    (* merge-mode level table: fp -> first copy carrying the merge *)
-    let pending = Hashtbl.create 257 in
-    let pending_order = ref [] in
+    let pending = level_merge 256 in
     let bufs = Array.make n_domains [] in
     let buf_counts = Array.make n_domains 0 in
     let m_worker =
@@ -826,16 +861,8 @@ let bfs_sharded ?domains ?(dedup = true) ?(stop_early = true) ?merge
       | None, _ -> next_acc := s :: !next_acc
       | Some v, None ->
         if v.vadd fp then next_acc := s :: !next_acc else incr hits
-      | Some v, Some merge_fn -> (
-        if v.vmem fp then incr hits
-        else
-          match Hashtbl.find_opt pending fp with
-          | None ->
-            Hashtbl.add pending fp s;
-            pending_order := fp :: !pending_order
-          | Some s0 ->
-            incr hits;
-            Hashtbl.replace pending fp (merge_fn s0 s))
+      | Some v, Some merge_fn ->
+        if v.vmem fp || not (merge_in pending merge_fn fp s) then incr hits
     in
     let route s' =
       let fp = fingerprint s' in
@@ -929,17 +956,7 @@ let bfs_sharded ?domains ?(dedup = true) ?(stop_early = true) ?merge
       done;
       let next =
         match vops, merge with
-        | Some v, Some _ ->
-          let survivors =
-            List.rev_map
-              (fun fp ->
-                ignore (v.vadd fp);
-                Hashtbl.find pending fp)
-              !pending_order
-          in
-          Hashtbl.reset pending;
-          pending_order := [];
-          Array.of_list survivors
+        | Some v, Some _ -> merge_survivors pending v.vadd
         | _ ->
           let arr = Array.of_list (List.rev !next_acc) in
           next_acc := [];

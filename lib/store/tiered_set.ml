@@ -1,4 +1,4 @@
-(* Hot Hashtbl per shard + sealed sorted segments.  Invariant: within
+(* Hot Fp_set per shard + sealed sorted segments.  Invariant: within
    a shard, hot and every segment are pairwise disjoint sets, so
    membership = hot hit or any-segment probe hit, and a flush is a
    pure representation change.  Shard routing duplicates
@@ -6,6 +6,7 @@
    test_store pins the two functions together. *)
 
 module Fingerprint = Elin_kernel.Fingerprint
+module Fp_set = Elin_kernel.Fp_set
 module Metrics = Elin_obs.Metrics
 module Trace = Elin_obs.Trace
 module Recorder = Elin_obs.Recorder
@@ -13,7 +14,7 @@ module Jsonl = Elin_obs.Jsonl
 
 type shard_state = {
   lock : Mutex.t;
-  hot : (int64, unit) Hashtbl.t;
+  hot : Fp_set.t;
   mutable readers : Segment.reader list;
   mutable seq : int;  (* next segment sequence number *)
   mutable spilled : int;
@@ -47,7 +48,7 @@ let parse_seg_name name =
 let fresh_shard () =
   {
     lock = Mutex.create ();
-    hot = Hashtbl.create 1024;
+    hot = Fp_set.create ();
     readers = [];
     seq = 0;
     spilled = 0;
@@ -160,19 +161,13 @@ let probe_disk t s fp =
 (* Seal [s]'s hot tier as one sorted segment.  Caller holds the
    shard. *)
 let flush_locked t shard_idx s =
-  let n = Hashtbl.length s.hot in
+  let n = Fp_set.length s.hot in
   if n > 0 then begin
     (* Seal span: sort + write + fsync + reopen — the whole stall the
        spilling domain takes.  Per flush (cold), plus a recorder note
        so a crash right after a seal shows it in the flight dump. *)
     let span_ts = Trace.begin_ns () in
-    let records = Array.make n (0L, 0L) in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun fp () ->
-        records.(!i) <- (fp, 0L);
-        incr i)
-      s.hot;
+    let records = Array.map (fun fp -> (fp, 0L)) (Fp_set.to_array s.hot) in
     Array.sort (fun (a, _) (b, _) -> Int64.unsigned_compare a b) records;
     let name = seg_name ~shard:shard_idx ~seq:s.seq in
     Segment.write ~dir:t.dir ~name records;
@@ -181,7 +176,7 @@ let flush_locked t shard_idx s =
     s.seq <- s.seq + 1;
     s.spilled <- s.spilled + n;
     s.flushes <- s.flushes + 1;
-    Hashtbl.reset s.hot;
+    Fp_set.reset s.hot;
     Metrics.Counter.incr t.m_flushes;
     Metrics.Counter.add t.m_spilled n;
     if Metrics.on () then begin
@@ -202,16 +197,16 @@ let flush_locked t shard_idx s =
 
 (* Core add/mem on a held shard. *)
 let add_held t shard_idx s fp =
-  if Hashtbl.mem s.hot fp then false
+  if Fp_set.mem s.hot fp then false
   else if probe_disk t s fp then false
   else begin
-    Hashtbl.add s.hot fp ();
+    ignore (Fp_set.add s.hot fp);
     if Metrics.on () then Metrics.Gauge.add t.g_hot 1;
-    if Hashtbl.length s.hot >= t.hot_capacity then flush_locked t shard_idx s;
+    if Fp_set.length s.hot >= t.hot_capacity then flush_locked t shard_idx s;
     true
   end
 
-let mem_held t s fp = Hashtbl.mem s.hot fp || probe_disk t s fp
+let mem_held t s fp = Fp_set.mem s.hot fp || probe_disk t s fp
 
 let with_shard t fp f =
   let i = owner t fp in
@@ -258,7 +253,7 @@ let segment_names t =
 
 let cardinal t =
   Array.fold_left
-    (fun acc s -> acc + s.spilled + Hashtbl.length s.hot)
+    (fun acc s -> acc + s.spilled + Fp_set.length s.hot)
     0 t.shard_states
 
 type stats = {
@@ -281,7 +276,7 @@ let stats t =
           acc.disk_bytes
           + List.fold_left (fun b r -> b + Segment.file_bytes r) 0 s.readers;
         spilled = acc.spilled + s.spilled;
-        hot = acc.hot + Hashtbl.length s.hot;
+        hot = acc.hot + Fp_set.length s.hot;
         flushes = acc.flushes + s.flushes;
         disk_probes = acc.disk_probes + s.disk_probes;
         disk_probe_hits = acc.disk_probe_hits + s.disk_probe_hits;

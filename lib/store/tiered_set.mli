@@ -1,5 +1,6 @@
-(** Two-tier visited set: an in-RAM hot [Hashtbl] per shard that spills
-    sealed, sorted {!Segment}s to disk when it reaches capacity.
+(** Two-tier visited set: an in-RAM hot {!Elin_kernel.Fp_set} per shard
+    that spills sealed, sorted {!Segment}s to disk when it reaches
+    capacity.
 
     Dedup semantics are {e exactly} those of {!Elin_kernel.Striped_set}
     / {!Elin_kernel.Shard_set}: a fingerprint is a member iff some

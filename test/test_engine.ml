@@ -358,6 +358,31 @@ let verdict_counts_nodes () =
   Alcotest.(check bool) "nodes counted" true (v.Engine.nodes_explored > 0);
   Alcotest.(check bool) "not linearizable" false v.Engine.ok
 
+(* Each run's memo must start small enough to live in the minor heap:
+   words allocated straight into the major heap
+   ([major_words - promoted_words]) average far below one 1 025-word
+   bucket array per run. *)
+let memo_stays_minor () =
+  let hist =
+    h [ inv 0 Op.fetch_inc; inv 1 Op.fetch_inc; resi 0 0; resi 1 1;
+        inv 2 Op.fetch_inc; resi 2 2 ]
+  in
+  let runs = 1000 in
+  let direct () =
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  Gc.minor ();
+  let before = direct () in
+  for _ = 1 to runs do
+    if not (Engine.linearizable fcfg hist) then
+      Alcotest.fail "fai history must be linearizable"
+  done;
+  let per_run = (direct () -. before) /. float_of_int runs in
+  if per_run >= 64. then
+    Alcotest.failf "%.1f words per run allocated directly in the major heap"
+      per_run
+
 let () =
   Alcotest.run "engine"
     [
@@ -397,6 +422,7 @@ let () =
           Support.quick "memo hits" memo_hits_counted;
           Support.quick "verdict stats" verdict_counts_nodes;
           Support.quick "pending-writes family" pending_writes_refuted;
+          Support.quick "memo in minor heap" memo_stays_minor;
           generated_pass;
           witness_valid;
         ] );

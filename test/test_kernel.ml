@@ -453,6 +453,67 @@ let shard_parallel_ownership () =
 
 (* --- Spsc --- *)
 
+(* Fp_set against a reference [Hashtbl], seeded.  Keys mix a reused
+   pool (duplicates), 0L (the empty-slot sentinel) and the int64
+   extremes, fresh random words, and a family whose low 40 bits are
+   fixed; each round grows the table through several doublings, then
+   [reset] empties it. *)
+let fp_set_model () =
+  let specials = [| 0L; Int64.min_int; Int64.max_int; -1L; 1L |] in
+  List.iter
+    (fun seed ->
+      let rng = Prng.create seed in
+      let random64 () =
+        let b () = Int64.of_int (Prng.bits rng) in
+        Int64.(logxor (shift_left (b ()) 34) (logxor (shift_left (b ()) 12) (b ())))
+      in
+      let pool =
+        Array.init 3000 (fun i ->
+            if i < Array.length specials then specials.(i)
+            else if i mod 3 = 0 then Int64.shift_left (Int64.of_int i) 40
+            else random64 ())
+      in
+      let s = Fp_set.create () and model = Hashtbl.create 16 in
+      let agree what fp =
+        if Fp_set.mem s fp <> Hashtbl.mem model fp then
+          Alcotest.failf "seed %d: %s: mem %Ld disagrees" seed what fp
+      in
+      let same_members what =
+        Alcotest.(check int) (what ^ ": length") (Hashtbl.length model)
+          (Fp_set.length s);
+        let got = List.sort compare (Array.to_list (Fp_set.to_array s)) in
+        let want =
+          List.sort compare (Hashtbl.fold (fun fp () acc -> fp :: acc) model [])
+        in
+        if got <> want then
+          Alcotest.failf "seed %d: %s: to_array is not the member set" seed what
+      in
+      for round = 1 to 3 do
+        for _ = 1 to 20_000 do
+          let fp =
+            if Prng.int rng 4 = 0 then random64 ()
+            else pool.(Prng.int rng (Array.length pool))
+          in
+          if Prng.bool rng then begin
+            let fresh = not (Hashtbl.mem model fp) in
+            Hashtbl.replace model fp ();
+            if Fp_set.add s fp <> fresh then
+              Alcotest.failf "seed %d: add %Ld disagrees" seed fp
+          end
+          else agree "probe" fp
+        done;
+        let what = Printf.sprintf "round %d" round in
+        Array.iter (agree what) pool;
+        same_members what;
+        Alcotest.(check bool) "grew through several doublings" true
+          (Fp_set.length s > 2048);
+        Fp_set.reset s;
+        Hashtbl.reset model;
+        same_members (what ^ " after reset");
+        Array.iter (agree (what ^ " after reset")) specials
+      done)
+    [ 1; 2; 3 ]
+
 let spsc_fifo () =
   let q = Spsc.create () in
   Alcotest.(check bool) "fresh empty" true (Spsc.is_empty q);
@@ -649,6 +710,8 @@ let () =
           Support.quick "parallel single-owner discipline"
             shard_parallel_ownership;
         ] );
+      ( "fp_set",
+        [ Support.quick "model against Hashtbl" fp_set_model ] );
       ( "spsc",
         [
           Support.quick "fifo" spsc_fifo;
